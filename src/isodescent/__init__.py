@@ -12,7 +12,6 @@ Library layout:
 from .arith import (
     is_prime,
     jacobi,
-    mod_pow,
     primes_up_to,
     quartic_symbol,
     squarefree_class,
@@ -66,53 +65,3 @@ from .local import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CurveModel",
-    "CurvePoint",
-    "FamilyReport",
-    "HomSpacePoint",
-    "INFINITY",
-    "PSI",
-    "PSIBAR",
-    "Place",
-    "PrimeClass",
-    "QuarticForm",
-    "RankBounds",
-    "ReprWitness",
-    "SelmerGroup",
-    "SolvabilityCertificate",
-    "Verdict",
-    "alpha_image",
-    "apply_dual_isogeny",
-    "apply_isogeny",
-    "bad_places",
-    "brute_oracle",
-    "classify",
-    "closed_form_selmer_psi",
-    "closed_form_selmer_psibar",
-    "curve_for_prime",
-    "divisor_classes",
-    "dual_curve",
-    "find_repr",
-    "homspace_to_curve",
-    "is_prime",
-    "jacobi",
-    "mod_pow",
-    "primes_up_to",
-    "proposition_rank",
-    "quartic_symbol",
-    "rank_bounds",
-    "search_homspace_points",
-    "selmer",
-    "solvable_everywhere_locally",
-    "solvable_padic",
-    "solvable_real",
-    "squarefree_class",
-    "theorem_bound",
-    "torsion_info",
-    "transform_point",
-    "valuation",
-    "verify_prime",
-    "witness_homspace_point",
-]

@@ -169,15 +169,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, in [0, modulus)."""
-    if modulus < 1:
-        raise ValueError(f"mod_pow requires modulus >= 1, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"mod_pow requires exp >= 0, got {exp}")
-    return pow(base, exp, modulus)
-
-
 def quartic_symbol(a: int, p: int) -> int:
     """Rational quartic residue symbol (a/p)_4 = a^((p-1)/4) mod p in {+1,-1}.
 

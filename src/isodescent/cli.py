@@ -8,8 +8,8 @@ spec_version 1.  Square classes serialize both as sorted signed integers
 "p" notation for comparison against the case tables.
 
 Exit codes: 0 ok, 1 internal inconsistency detected (engine disagrees with
-a closed form; the offending record is still emitted), 2 usage error,
-3 I/O error.
+a closed form; the offending record is still emitted), 2 usage error (a
+descent curve the engine cannot take among them), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -22,17 +22,19 @@ import multiprocessing
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Optional
 
-from .arith import is_prime
-from .descent import PSI, PSIBAR, CurveModel, rank_bounds, selmer
+from .arith import is_prime, primes_up_to
+from .descent import PSI, PSIBAR, CurveModel, RankBounds, bad_places, rank_bounds, selmer
 from .family import (
     KIND_3P,
     KIND_P,
     classify,
     closed_form_selmer_psi,
     closed_form_selmer_psibar,
+    curve_for_prime,
     find_repr,
     theorem_bound,
     verify_prime,
@@ -56,26 +58,16 @@ class RunConfig:
     parallelism: int = 1
 
 
-# value parsers / serializers per column
-_INT_KEYS = {
-    "spec_version",
-    "p",
-    "a",
-    "b",
-    "mod24",
-    "dim_selmer_psibar",
-    "dim_selmer_psi",
-    "dim_im_alpha",
-    "dim_im_alphabar",
-    "lower",
-    "upper",
-}
-_OPT_INT_KEYS = {"quartic2", "repr_3p_a", "repr_3p_b", "repr_p_a", "repr_p_b"}
-_BOOL_KEYS = {"consistent"}
+# column runs shared between commands
+_CLASS = ("spec_version", "p", "mod24", "quartic2")
+_BOUNDS = tuple(f.name for f in fields(RankBounds))
+_RANK_HEAD = (*_CLASS, *_BOUNDS, "theorem_bound", "proposition")
+_SELMER_CLASSES = ("selmer_psibar", "selmer_psi", "selmer_psibar_symbolic", "selmer_psi_symbolic")
+_REPR = ("repr_3p_a", "repr_3p_b", "repr_p_a", "repr_p_b")
 
 # fixed column order per command (also used for header-only output)
 _SCHEMAS = {
-    "classify": ("spec_version", "p", "mod24", "quartic2", "theorem_bound"),
+    "classify": (*_CLASS, "theorem_bound"),
     "selmer": (
         "spec_version",
         "p",
@@ -87,56 +79,22 @@ _SCHEMAS = {
         "psi_symbolic",
         "consistent",
     ),
-    "rank": (
-        "spec_version",
-        "p",
-        "mod24",
-        "quartic2",
-        "dim_selmer_psibar",
-        "dim_selmer_psi",
-        "dim_im_alpha",
-        "dim_im_alphabar",
-        "lower",
-        "upper",
-        "theorem_bound",
-        "proposition",
-        "consistent",
-    ),
-    "repr": ("spec_version", "p", "repr_3p_a", "repr_3p_b", "repr_p_a", "repr_p_b"),
-    "scan": (
-        "spec_version",
-        "p",
-        "mod24",
-        "quartic2",
-        "dim_selmer_psibar",
-        "dim_selmer_psi",
-        "dim_im_alpha",
-        "dim_im_alphabar",
-        "lower",
-        "upper",
-        "theorem_bound",
-        "proposition",
-        "selmer_psibar",
-        "selmer_psi",
-        "selmer_psibar_symbolic",
-        "selmer_psi_symbolic",
-        "repr_3p_a",
-        "repr_3p_b",
-        "repr_p_a",
-        "repr_p_b",
-        "consistent",
-    ),
-    "descent": (
-        "spec_version",
-        "a",
-        "b",
-        "dim_selmer_psibar",
-        "dim_selmer_psi",
-        "dim_im_alpha",
-        "dim_im_alphabar",
-        "lower",
-        "upper",
-    ),
+    "rank": (*_RANK_HEAD, "consistent"),
+    "repr": ("spec_version", "p", *_REPR),
+    "scan": (*_RANK_HEAD, *_SELMER_CLASSES, *_REPR, "consistent"),
+    "descent": ("spec_version", "a", "b", *_BOUNDS),
+}
+
+
+def _optional_int(cell: str) -> Optional[int]:
+    return int(cell) if cell else None
+
+
+# CSV cell parser per typed column; every other column is a string
+_CELL_TYPES = {
+    **dict.fromkeys(("spec_version", "p", "a", "b", "mod24", *_BOUNDS), int),
+    **dict.fromkeys(("quartic2", *_REPR), _optional_int),
+    "consistent": lambda cell: cell == "true",
 }
 
 
@@ -165,8 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, height=True):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        sp.add_argument("--out", metavar="PATH", default=None)
+        sp.add_argument(
+            "--format", dest="output_format", choices=("json", "csv", "text"), default="text"
+        )
+        sp.add_argument("--out", dest="output_path", metavar="PATH", default=None)
         if height:
             sp.add_argument("--height-bound", type=_positive_arg, default=2000)
 
@@ -188,7 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="full report for every prime up to --max")
     sp.add_argument("--max", dest="range_max", type=_positive_arg, required=True)
-    sp.add_argument("--jobs", type=_positive_arg, default=os.cpu_count() or 1)
+    sp.add_argument(
+        "--jobs", dest="parallelism", metavar="JOBS", type=_positive_arg,
+        default=os.cpu_count() or 1,
+    )
     add_common(sp)
 
     sp = sub.add_parser("descent", help="rank bounds for an arbitrary curve (a, b)")
@@ -199,18 +162,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        p=getattr(ns, "p", None),
-        range_max=getattr(ns, "range_max", None),
-        a=getattr(ns, "a", None),
-        b=getattr(ns, "b", None),
-        height_bound=getattr(ns, "height_bound", 2000),
-        output_format=ns.format,
-        output_path=ns.out,
-        parallelism=getattr(ns, "jobs", 1),
-    )
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.command == "descent":
+        try:
+            bad_places(CurveModel(ns.a, ns.b))
+        except ValueError as exc:
+            parser.error(f"cannot run descent on (a, b) = ({ns.a}, {ns.b}): {exc}")
+    return RunConfig(**vars(ns))
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +192,20 @@ def _classes_symbolic(classes, p: int) -> str:
     return " ".join(_symbolic(c, p) for c in sorted(classes))
 
 
+def _class_cells(cls) -> OutputRecord:
+    return dict(zip(_CLASS, (SPEC_VERSION, cls.p, cls.residue_mod_24, cls.quartic2)))
+
+
+def _repr_cells(w3p, wp) -> OutputRecord:
+    """The four repr_* cells; a missing witness gives empty cells."""
+    return dict(zip(_REPR, [getattr(w, ab, None) for w in (w3p, wp) for ab in ("a", "b")]))
+
+
 def _classify_record(p: int) -> OutputRecord:
-    cls = classify(p)
-    return {
-        "spec_version": SPEC_VERSION,
-        "p": p,
-        "mod24": cls.residue_mod_24,
-        "quartic2": cls.quartic2,
-        "theorem_bound": str(theorem_bound(p)),
-    }
+    return {**_class_cells(classify(p)), "theorem_bound": str(theorem_bound(p))}
 
 
 def _selmer_record(p: int) -> OutputRecord:
-    from .family import curve_for_prime
-
     E = curve_for_prime(p)
     closed_bar = closed_form_selmer_psibar(p)
     closed_psi = closed_form_selmer_psi(p)
@@ -268,111 +227,63 @@ def _selmer_record(p: int) -> OutputRecord:
     }
 
 
-def _rank_record(p: int, height_bound: int) -> OutputRecord:
-    report = verify_prime(p, height_bound)
-    rb = report.rank_bounds
-    return {
-        "spec_version": SPEC_VERSION,
-        "p": p,
-        "mod24": report.prime_class.residue_mod_24,
-        "quartic2": report.prime_class.quartic2,
-        "dim_selmer_psibar": rb.dim_selmer_psibar,
-        "dim_selmer_psi": rb.dim_selmer_psi,
-        "dim_im_alpha": rb.dim_im_alpha,
-        "dim_im_alphabar": rb.dim_im_alphabar,
-        "lower": rb.lower,
-        "upper": rb.upper,
-        "theorem_bound": str(report.theorem_bound),
-        "proposition": str(report.proposition) if report.proposition else "",
-        "consistent": report.consistent,
-    }
-
-
 def _repr_record(p: int) -> OutputRecord:
-    w3p = find_repr(3 * p, 2)
-    wp = find_repr(p, 18)
-    return {
-        "spec_version": SPEC_VERSION,
-        "p": p,
-        "repr_3p_a": w3p.a if w3p else None,
-        "repr_3p_b": w3p.b if w3p else None,
-        "repr_p_a": wp.a if wp else None,
-        "repr_p_b": wp.b if wp else None,
-    }
+    cells = _repr_cells(find_repr(3 * p, 2), find_repr(p, 18))
+    return {"spec_version": SPEC_VERSION, "p": p, **cells}
 
 
-def _scan_record(args: tuple[int, int]) -> OutputRecord:
-    p, height_bound = args
+def _report_record(p: int, height_bound: int, columns: tuple[str, ...]) -> OutputRecord:
+    """Project verify_prime's report for p onto columns (rank's or scan's)."""
     report = verify_prime(p, height_bound)
-    rb = report.rank_bounds
     by_kind = {w.kind: w for w in report.witnesses}
-    w3p = by_kind.get(KIND_3P)
-    wp = by_kind.get(KIND_P)
-    return {
-        "spec_version": SPEC_VERSION,
-        "p": p,
-        "mod24": report.prime_class.residue_mod_24,
-        "quartic2": report.prime_class.quartic2,
-        "dim_selmer_psibar": rb.dim_selmer_psibar,
-        "dim_selmer_psi": rb.dim_selmer_psi,
-        "dim_im_alpha": rb.dim_im_alpha,
-        "dim_im_alphabar": rb.dim_im_alphabar,
-        "lower": rb.lower,
-        "upper": rb.upper,
+    bar, psi = report.engine_psibar.classes, report.engine_psi.classes
+    cells = {
+        **_class_cells(report.prime_class),
+        **asdict(report.rank_bounds),
         "theorem_bound": str(report.theorem_bound),
         "proposition": str(report.proposition) if report.proposition else "",
-        "selmer_psibar": _classes_numeric(report.engine_psibar.classes),
-        "selmer_psi": _classes_numeric(report.engine_psi.classes),
-        "selmer_psibar_symbolic": _classes_symbolic(report.engine_psibar.classes, p),
-        "selmer_psi_symbolic": _classes_symbolic(report.engine_psi.classes, p),
-        "repr_3p_a": w3p.a if w3p else None,
-        "repr_3p_b": w3p.b if w3p else None,
-        "repr_p_a": wp.a if wp else None,
-        "repr_p_b": wp.b if wp else None,
+        "selmer_psibar": _classes_numeric(bar),
+        "selmer_psi": _classes_numeric(psi),
+        "selmer_psibar_symbolic": _classes_symbolic(bar, p),
+        "selmer_psi_symbolic": _classes_symbolic(psi, p),
+        **_repr_cells(by_kind.get(KIND_3P), by_kind.get(KIND_P)),
         "consistent": report.consistent,
     }
+    return {k: cells[k] for k in columns}
 
 
-def _descent_record(a: int, b: int, height_bound: int) -> OutputRecord:
-    rb = rank_bounds(CurveModel(a, b), height_bound)
-    return {
-        "spec_version": SPEC_VERSION,
-        "a": a,
-        "b": b,
-        "dim_selmer_psibar": rb.dim_selmer_psibar,
-        "dim_selmer_psi": rb.dim_selmer_psi,
-        "dim_im_alpha": rb.dim_im_alpha,
-        "dim_im_alphabar": rb.dim_im_alphabar,
-        "lower": rb.lower,
-        "upper": rb.upper,
-    }
+def _map_primes(fn, primes: list[int], jobs: int) -> list[OutputRecord]:
+    """fn over primes in order; at most one process per core and per prime."""
+    jobs = min(jobs, os.cpu_count() or 1, len(primes))
+    if jobs <= 1:
+        return [fn(p) for p in primes]
+    with multiprocessing.Pool(jobs) as pool:
+        return pool.map(fn, primes)
 
 
 def execute(config: RunConfig) -> tuple[list[OutputRecord], int]:
     """Run the configured command; exit code 1 flags any inconsistency."""
-    if config.command == "classify":
+    command = config.command
+    if command == "classify":
         records = [_classify_record(config.p)]
-    elif config.command == "selmer":
+    elif command == "selmer":
         records = [_selmer_record(config.p)]
-    elif config.command == "rank":
-        records = [_rank_record(config.p, config.height_bound)]
-    elif config.command == "repr":
+    elif command == "repr":
         records = [_repr_record(config.p)]
-    elif config.command == "scan":
-        from .arith import primes_up_to
-
-        primes = primes_up_to(config.range_max) if config.range_max >= 2 else []
-        work = [(p, config.height_bound) for p in primes]
-        if config.parallelism > 1 and len(work) > 1:
-            with multiprocessing.Pool(config.parallelism) as pool:
-                records = pool.map(_scan_record, work)
+    elif command in ("rank", "scan"):
+        if command == "rank":
+            primes = [config.p]
         else:
-            records = [_scan_record(item) for item in work]
-        records.sort(key=lambda r: r["p"])
-    elif config.command == "descent":
-        records = [_descent_record(config.a, config.b, config.height_bound)]
+            primes = primes_up_to(config.range_max) if config.range_max >= 2 else []
+        project = partial(
+            _report_record, height_bound=config.height_bound, columns=_SCHEMAS[command]
+        )
+        records = _map_primes(project, primes, config.parallelism)
+    elif command == "descent":
+        bounds = rank_bounds(CurveModel(config.a, config.b), config.height_bound)
+        records = [{"spec_version": SPEC_VERSION, "a": config.a, "b": config.b, **asdict(bounds)}]
     else:
-        raise ValueError(f"unknown command {config.command!r}")
+        raise ValueError(f"unknown command {command!r}")
     bad = any(r.get("consistent") is False for r in records)
     return records, (1 if bad else 0)
 
@@ -443,25 +354,11 @@ def _text_table(records: list[OutputRecord], header: tuple[str, ...]) -> str:
 
 def parse_records_csv(data: bytes) -> list[OutputRecord]:
     """Inverse of emit(..., "csv"): restores the documented column types."""
-    reader = csv.reader(io.StringIO(data.decode()))
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(data.decode())))
     if not rows:
         return []
-    header = rows[0]
-    out = []
-    for row in rows[1:]:
-        rec: OutputRecord = {}
-        for key, cell in zip(header, row):
-            if key in _BOOL_KEYS:
-                rec[key] = cell == "true"
-            elif key in _INT_KEYS:
-                rec[key] = int(cell)
-            elif key in _OPT_INT_KEYS:
-                rec[key] = int(cell) if cell else None
-            else:
-                rec[key] = cell
-        out.append(rec)
-    return out
+    header, *body = rows
+    return [{key: _CELL_TYPES.get(key, str)(cell) for key, cell in zip(header, row)} for row in body]
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -248,16 +248,20 @@ def proposition_rank(p: int) -> Optional[PropositionRank]:
     (gcd(a, 18p) = 1): the alpha image is all of S_p[psibar], so the rank
     is at least 2.
     """
-    cls = classify(p)
-    r, q4 = cls.residue_mod_24, cls.quartic2
+    return _proposition(classify(p), find_repr(3 * p, 2), find_repr(p, 18))
+
+
+def _proposition(
+    cls: PrimeClass, w3p: Optional[ReprWitness], wp: Optional[ReprWitness]
+) -> Optional[PropositionRank]:
+    """proposition_rank given both representation searches' results."""
+    p, r, q4 = cls.p, cls.residue_mod_24, cls.quartic2
     if q4 != 1 or r not in (1, 17):
         return None
-    w3p = find_repr(3 * p, 2)
     if w3p is None or gcd(w3p.a, 6 * p) != 1:
         return None
     if r == 17:
         return PropositionRank("exact", 1, (w3p,))
-    wp = find_repr(p, 18)
     if wp is None or gcd(wp.a, 18 * p) != 1:
         return None
     return PropositionRank("at_least", 2, (wp, w3p))
@@ -277,14 +281,9 @@ def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
     engine_bar = selmer(E, PSIBAR)
     engine_psi = selmer(E, PSI)
     bounds = rank_bounds(E, height_bound)
-    prop = proposition_rank(p)
+    w3p, wp = find_repr(3 * p, 2), find_repr(p, 18)
+    prop = _proposition(cls, w3p, wp)
     bound_stmt = theorem_bound(p)
-
-    witnesses = []
-    for n, k in ((3 * p, 2), (p, 18)):
-        w = find_repr(n, k)
-        if w is not None:
-            witnesses.append(w)
 
     consistent = (
         closed_bar.classes == engine_bar.classes
@@ -299,7 +298,7 @@ def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
         engine_psibar=engine_bar,
         engine_psi=engine_psi,
         theorem_bound=bound_stmt,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(w for w in (w3p, wp) if w is not None),
         proposition=prop,
         rank_bounds=bounds,
         consistent=consistent,

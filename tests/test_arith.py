@@ -8,7 +8,6 @@ from isodescent.arith import (
     factorize,
     is_prime,
     jacobi,
-    mod_pow,
     primes_up_to,
     quartic_symbol,
     squarefree_class,
@@ -175,28 +174,6 @@ class TestJacobi:
         for a in range(-50, 51):
             for n in range(1, 100, 2):
                 assert jacobi(a, n) == sympy.jacobi_symbol(a, n)
-
-
-class TestModPow:
-    def test_basic(self):
-        assert mod_pow(2, 4, 17) == 16
-
-    def test_feeds_quartic_symbol(self):
-        # 2^((1217-1)/4) mod 1217; settles quartic_symbol(2, 1217) = +1
-        assert mod_pow(2, 304, 1217) == 1
-
-    def test_zero_exponent(self):
-        assert mod_pow(123, 0, 7) == 1
-        assert mod_pow(0, 0, 5) == 1
-
-    def test_modulus_one(self):
-        assert mod_pow(5, 3, 1) == 0
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 7)
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
 
 
 class TestPrimesUpTo:

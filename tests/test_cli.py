@@ -167,6 +167,17 @@ class TestMainExitCodes:
         proc = run_cli(["rank", "--p", "15"])
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [(0, 0), (2, 1), (0, 1000036000099)],
+        ids=["b-zero", "singular", "b-outside-factoring-range"],
+    )
+    def test_bad_curve_is_usage_error(self, a, b):
+        proc = run_cli(["descent", "--a", str(a), "--b", str(b)])
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"error:" in proc.stderr
+
     def test_ok_subprocess(self):
         proc = run_cli(["rank", "--p", "7", "--height-bound", "5", "--format", "json"])
         assert proc.returncode == 0
@@ -185,6 +196,50 @@ class TestInconsistencyExitCode:
         records, code = execute(RunConfig(command="selmer", p=7))
         assert code == 1
         assert records and records[0]["consistent"] is False
+
+
+class FakePool:
+    """Records the process count asked for and maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        FakePool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestPoolClamp:
+    @pytest.mark.parametrize(
+        "cpus,range_max,expected",
+        [(4, 30, [4]), (64, 10, [4]), (None, 30, []), (1, 30, []), (4, 2, [])],
+    )
+    def test_processes_capped_by_cores_and_primes(self, monkeypatch, cpus, range_max, expected):
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        config = RunConfig(command="scan", range_max=range_max, height_bound=5, parallelism=64)
+        records, code = execute(config)
+        assert code == 0 and records
+        assert FakePool.sizes == expected
+
+    def test_rank_runs_in_process(self, monkeypatch):
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        records, _ = execute(RunConfig(command="rank", p=7, height_bound=5, parallelism=64))
+        assert [r["p"] for r in records] == [7]
+        assert FakePool.sizes == []
 
 
 class TestScanDeterminism:

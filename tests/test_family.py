@@ -208,6 +208,20 @@ class TestVerifyPrime:
         assert report.rank_bounds.lower >= 2
         assert str(report.proposition) == "rank >= 2"
 
+    def test_one_representation_search_per_kind(self, monkeypatch):
+        import isodescent.family as family_mod
+
+        calls = []
+
+        def counting_find_repr(n, k):
+            calls.append((n, k))
+            return find_repr(n, k)
+
+        monkeypatch.setattr(family_mod, "find_repr", counting_find_repr)
+        report = verify_prime(19249, 20)
+        assert sorted(calls) == [(19249, 18), (3 * 19249, 2)]
+        assert report.proposition == proposition_rank(19249)
+
     def test_dimension_dichotomy(self):
         for p in primes_up_to(200):
             E = curve_for_prime(p)
