@@ -87,15 +87,22 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0, exact integer arithmetic."""
-    if n < 2:
+    """Floor of the k-th root of n >= 0 for k in (1, 2, 3, 4), in exact
+    integer arithmetic (no float, so no overflow and no long walk)."""
+    if k == 1 or n < 2:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if k == 2:
+        return math.isqrt(n)
+    if k == 4:
+        return math.isqrt(math.isqrt(n))
+    # k == 3, by Newton from above: 2^ceil(bits/3) > n^(1/3), and the
+    # iterates fall until they reach the floor of the cube root
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -126,6 +133,17 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=64)
+def _factorization(m: int) -> tuple[tuple[int, int], ...]:
+    """factorize(m) for m >= 1 as ascending (prime, exponent) pairs.
+
+    The package's own callers go through this cache, so each distinct |n|
+    is trial-divided once per process; a tuple, so no caller can change
+    what another one reads.
+    """
+    return tuple(sorted(factorize(m).items()))
+
+
 def squarefree_class(n: int) -> int:
     """Canonical representative of n modulo nonzero rational squares.
 
@@ -136,7 +154,7 @@ def squarefree_class(n: int) -> int:
         raise ValueError("0 has no square class")
     sign = -1 if n < 0 else 1
     out = sign
-    for p, e in factorize(n).items():
+    for p, e in _factorization(abs(n)):
         if e % 2:
             out *= p
     return out

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
-from .arith import class_product, factorize, squarefree_class
+from .arith import _factorization, class_product, factorize, squarefree_class
 from .local import (
     INFINITY,
     Place,
@@ -177,7 +177,7 @@ def dual_curve(E: CurveModel) -> CurveModel:
 def bad_places(E: CurveModel) -> frozenset[Place]:
     """Infinity together with every prime dividing 2*b*bbar."""
     bbar = dual_curve(E).b
-    primes = {2} | set(factorize(E.b)) | set(factorize(bbar))
+    primes = {2} | {p for p, _ in _factorization(abs(E.b)) + _factorization(abs(bbar))}
     return frozenset({INFINITY} | {Place(p) for p in primes})
 
 
@@ -189,7 +189,7 @@ def divisor_classes(b: int) -> list[int]:
     """
     if b == 0:
         raise ValueError("divisor_classes requires b != 0")
-    primes = sorted(factorize(b))
+    primes = [p for p, _ in _factorization(abs(b))]
     divisors = [1]
     for p in primes:
         divisors += [d * p for d in divisors]

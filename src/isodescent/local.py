@@ -13,6 +13,14 @@ routes are provided:
     depth is capped at D = v_l(4*d1*d2*(c^2-4*d1*d2)) + 3 (two more at
     l = 2); exceeding the cap raises rather than guessing.
 
+    At odd l nothing walks all of F_l, so the cost is polynomial in log l:
+    the roots of the reduction g come from gcd(g, t^l - t), split by
+    Cantor-Zassenhaus; residues are tested with Euler's criterion; and the
+    walk for a first square unit value stops at the first non-square one
+    when g = c*h^2 mod l (every unit value then has the character of c),
+    while otherwise Weil's bound guarantees a square value once l >= 17.
+    At l = 2 units are recognized mod 8 by a walk over residues mod 8.
+
   * brute_oracle: a breadth-first residue search that only ever reports a
     definite answer with a certificate (an exact Z_l-square value, or a
     proof that every residue class mod l^k is pinned to a non-square).
@@ -28,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Optional, Union
 
@@ -175,12 +182,6 @@ def _vl(n: int, l: int) -> int:
     return v
 
 
-@lru_cache(maxsize=64)
-def _square_residues(l: int) -> frozenset[int]:
-    """Nonzero quadratic residues mod an odd prime l."""
-    return frozenset(i * i % l for i in range(1, (l - 1) // 2 + 1))
-
-
 def is_zl_square(val: int, l: int) -> bool:
     """Exact test: is the integer val a square in Z_l (0 counts)."""
     if val == 0:
@@ -191,7 +192,7 @@ def is_zl_square(val: int, l: int) -> bool:
     u = val // l**v
     if l == 2:
         return u % 8 == 1
-    return u % l in _square_residues(l)
+    return pow(u % l, (l - 1) // 2, l) == 1  # Euler's criterion
 
 
 def _strip_even_content(f: Poly, l: int) -> tuple[Poly, int]:
@@ -206,38 +207,171 @@ def _strip_even_content(f: Poly, l: int) -> tuple[Poly, int]:
     return f, e
 
 
-def _zl_search_odd(f: Poly, l: int, budget: int, sqset: frozenset[int]) -> Optional[int]:
+# ---------------------------------------------------------------------------
+# polynomials over F_l, l an odd prime: residue lists, low degree first,
+# with no trailing zeros ([] is the zero polynomial)
+
+
+def _fl_trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _fl_sub(f: list[int], g: list[int], l: int) -> list[int]:
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return _fl_trim([(a - b) % l for a, b in zip(f, g)])
+
+
+def _fl_mul(f: list[int], g: list[int], l: int) -> list[int]:
+    if not f or not g:
+        return []
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    return [c % l for c in prod]
+
+
+def _fl_divmod(f: list[int], g: list[int], l: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by the nonzero g."""
+    rem = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, l)
+    quot = [0] * max(len(f) - dg, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dg] * inv % l
+        quot[i] = c
+        for j in range(dg + 1):
+            rem[i + j] = (rem[i + j] - c * g[j]) % l
+    return quot, _fl_trim(rem[:dg])
+
+
+def _fl_mulmod(f: list[int], g: list[int], m: list[int], l: int) -> list[int]:
+    """f*g mod m, for m monic of degree >= 1."""
+    prod = _fl_mul(f, g, l)
+    dm = len(m) - 1
+    for i in range(len(prod) - 1, dm - 1, -1):
+        c = prod[i] % l
+        if c:
+            for j in range(dm):
+                prod[i - dm + j] -= c * m[j]
+    return _fl_trim([c % l for c in prod[:dm]])
+
+
+def _fl_powmod(f: list[int], n: int, m: list[int], l: int) -> list[int]:
+    """f^n mod m by square-and-multiply, for m monic of degree >= 1."""
+    result = [1]
+    base = _fl_mulmod(f, [1], m, l)
+    while n:
+        if n & 1:
+            result = _fl_mulmod(result, base, m, l)
+        base = _fl_mulmod(base, base, m, l)
+        n >>= 1
+    return result
+
+
+def _fl_monic(f: list[int], l: int) -> list[int]:
+    inv = pow(f[-1], -1, l)
+    return [c * inv % l for c in f]
+
+
+def _fl_gcd(f: list[int], g: list[int], l: int) -> list[int]:
+    """Monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _fl_divmod(f, g, l)[1]
+    return _fl_monic(f, l)
+
+
+def _fl_roots(g: list[int], l: int) -> list[int]:
+    """The distinct roots in F_l of g, of degree >= 1, ascending.
+
+    gcd(g, t^l - t) is the product of t - r over the roots r; Cantor-
+    Zassenhaus splits it.
+    """
+    g, t = _fl_monic(g, l), [0, 1]
+    return sorted(_fl_split(_fl_gcd(g, _fl_sub(_fl_powmod(t, l, g, l), t, l), l), l))
+
+
+def _fl_split(h: list[int], l: int) -> list[int]:
+    """Roots of the monic h, a product of distinct linear factors.
+
+    gcd(h, (t + delta)^((l-1)/2) - 1) keeps the roots r with r + delta a
+    nonzero square.  For two distinct roots some delta < l makes one of
+    r1 + delta, r2 + delta a square and the other not (otherwise the
+    squares would be closed under adding r2 - r1), so the loop splits h.
+    """
+    if len(h) == 1:
+        return []
+    if len(h) == 2:
+        return [-h[0] % l]
+    for delta in range(l):
+        k = _fl_gcd(h, _fl_sub(_fl_powmod([delta, 1], (l - 1) // 2, h, l), [1], l), l)
+        if 1 < len(k) < len(h):
+            return _fl_split(k, l) + _fl_split(_fl_divmod(h, k, l)[0], l)
+    raise AssertionError("no shift splits a product of distinct linear factors")
+
+
+def _fl_is_scaled_square(g: list[int], l: int) -> bool:
+    """True iff g = c*h^2 over F_l for a constant c (g nonzero)."""
+    n = len(g) - 1
+    if n % 2:
+        return False
+    m = n // 2
+    monic = _fl_monic(g, l)
+    # the coefficient of t^(m+j) in h^2 is 2*h_j plus terms in h_(j+1..m),
+    # so the top half of the monic g fixes the only monic candidate h
+    h = [0] * m + [1]
+    half = (l + 1) // 2
+    for j in range(m - 1, -1, -1):
+        rest = sum(h[i] * h[m + j - i] for i in range(j + 1, m))
+        h[j] = (monic[m + j] - rest) * half % l
+    return _fl_mul(h, h, l) == monic
+
+
+# ---------------------------------------------------------------------------
+# Z_l searches
+
+
+def _zl_search_odd(f: Poly, l: int, budget: int) -> Optional[int]:
     """Smallest-digit z in Z_l (returned as a nested-disc integer) with f(z)
     an exact Z_l square, or None if no such z exists.  Complete for odd l.
+
+    A residue t0 where the primitive part g of f is a unit mod l decides on
+    the spot: f(t0) is a square iff the content is even and g(t0) is a
+    square mod l.  So the first such t0 in 0, 1, ... is the answer; only
+    when there is none are the roots of g searched, in ascending order.
     """
     f, e = _strip_even_content(f, l)
     unit_part = f if e == 0 else tuple(c // l for c in f)
-    gmod = [c % l for c in unit_part]
-    # residues where the primitive part vanishes mod l need recursion; a
-    # residue with unit value decides on the spot (QR iff square, given the
-    # content parity e).
-    if not any(gmod[1:]):
+    gmod = _fl_trim([c % l for c in unit_part])
+    if not gmod:
+        raise AssertionError("primitive polynomial reduced to zero mod l")
+    if len(gmod) == 1:
         # constant reduction: one test covers every residue class
-        const = gmod[0]
-        if const == 0:
-            raise AssertionError("primitive polynomial reduced to zero mod l")
-        return 0 if (e == 0 and const in sqset) else None
-    roots: list[int] = []
-    for t0 in range(l):
-        r = 0
-        for coeff in reversed(gmod):
-            r = (r * t0 + coeff) % l
-        if r == 0:
-            roots.append(t0)
-        elif e == 0 and r in sqset:
-            return t0
-    for t0 in roots:
+        return 0 if (e == 0 and is_zl_square(gmod[0], l)) else None
+    if e == 0:
+        # If g = c*h^2 mod l, every unit value has the character of c, so
+        # the first one settles the question.  Otherwise Weil's bound,
+        # |sum_t (g(t)/l)| <= 3*sqrt(l) with at most 4 roots, leaves a
+        # square unit value once l >= 17, and the walk stops early.
+        scaled_square = _fl_is_scaled_square(gmod, l)
+        for t0 in range(l):
+            r = _poly_eval(gmod, t0) % l
+            if r == 0:
+                continue
+            if is_zl_square(r, l):
+                return t0
+            if scaled_square:
+                break
+    for t0 in _fl_roots(gmod, l):
         val = _poly_eval(f, t0)
         if is_zl_square(val, l):
             return t0
         if budget == 0:
             raise LocalEngineError("depth cap exceeded at odd prime (engine bug)")
-        sub = _zl_search_odd(_poly_shift(f, t0, l), l, budget - 1, sqset)
+        sub = _zl_search_odd(_poly_shift(f, t0, l), l, budget - 1)
         if sub is not None:
             return t0 + l * sub
     return None
@@ -306,7 +440,7 @@ def solvable_padic(q: QuarticForm, l: int) -> SolvabilityCertificate:
         if l == 2:
             z0 = _zl_search_two(poly, cap)
         else:
-            z0 = _zl_search_odd(poly, l, cap, _square_residues(l))
+            z0 = _zl_search_odd(poly, l, cap)
         if z0 is not None:
             witness = _certificate(q, l, z0, route == "reciprocal", cap)
             return SolvabilityCertificate(q, Place(l), True, witness, route)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from isodescent.arith import (
     IS_PRIME_LIMIT,
+    _iroot,
     class_product,
     factorize,
     is_prime,
@@ -131,6 +132,37 @@ class TestFactorize:
     def test_large_prime_square(self):
         p = 19249
         assert factorize(18 * p * p) == {2: 1, 3: 2, p: 2}
+
+    def test_large_prime_powers(self):
+        p = 10238844796821566353
+        for e in (1, 2, 3, 4):
+            assert factorize(-12 * p**e) == {2: 2, 3: 1, p: e}
+
+    def test_each_call_gets_its_own_dict(self):
+        first = factorize(18 * 49)
+        first[7] = 0
+        assert factorize(18 * 49) == {2: 1, 3: 2, 7: 2}
+
+    @pytest.mark.parametrize("n", [10**27 + 7, 10**400 + 1], ids=["28-digit", "401-digit"])
+    def test_unsupported_cofactor_rejected(self, n):
+        # 10^27 + 7 = 8325465851 * 120113398805171557; 10^400 + 1 is past float range
+        with pytest.raises(ValueError, match="out of supported factoring range"):
+            factorize(n)
+
+
+class TestIroot:
+    @given(st.integers(min_value=0, max_value=10**1200), st.sampled_from([1, 2, 3, 4]))
+    @settings(max_examples=300, deadline=None)
+    def test_floor_of_root(self, n, k):
+        r = _iroot(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_exact_powers_and_neighbours(self, k):
+        for base in (0, 1, 2, 3, 10**9 + 7, 10**110 + 3):
+            assert _iroot(base**k, k) == base
+            if base:
+                assert _iroot(base**k - 1, k) == base - 1
 
 
 class TestJacobi:

@@ -15,11 +15,11 @@ from isodescent.cli import (
 )
 
 
-def run_cli(args: list[str]) -> subprocess.CompletedProcess:
+def run_cli(args: list[str], timeout: float = 600) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "isodescent.cli", *args],
         capture_output=True,
-        timeout=600,
+        timeout=timeout,
     )
 
 
@@ -177,6 +177,33 @@ class TestMainExitCodes:
         assert proc.returncode == 2
         assert b"Traceback" not in proc.stderr
         assert b"error:" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "b",
+        [10**27 + 7, 10**400 + 1],
+        ids=["cofactor-not-a-prime-power", "past-float-range"],
+    )
+    def test_unfactorable_b_exits_two_quickly(self, b):
+        proc = run_cli(["descent", "--a", "0", "--b", str(b)], timeout=60)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines() if b"error:" in ln]
+        assert len(errors) == 1 and b"out of supported factoring range" in errors[0]
+
+    @pytest.mark.parametrize(
+        "b",
+        [10238844796821566353, 10**30 + 7],
+        ids=["prime", "three-prime-factors"],
+    )
+    def test_giant_bad_place_finishes(self, b):
+        # the largest prime factor of both is 10238844796821566353
+        proc = run_cli(
+            ["descent", "--a", "0", "--b", str(b), "--height-bound", "60", "--format", "json"],
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (record,) = json.loads(proc.stdout)
+        assert record["b"] == b and record["lower"] <= record["upper"]
 
     def test_ok_subprocess(self):
         proc = run_cli(["rank", "--p", "7", "--height-bound", "5", "--format", "json"])

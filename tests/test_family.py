@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from isodescent.arith import primes_up_to
+from isodescent.arith import factorize, primes_up_to
 from isodescent.descent import PSI, PSIBAR, CurveModel, CurvePoint, selmer
 from isodescent.family import (
     FROM_REDUCED,
@@ -221,6 +221,26 @@ class TestVerifyPrime:
         report = verify_prime(19249, 20)
         assert sorted(calls) == [(19249, 18), (3 * 19249, 2)]
         assert report.proposition == proposition_rank(19249)
+
+    def test_one_trial_division_per_coefficient(self, monkeypatch):
+        import isodescent.arith as arith_mod
+        import isodescent.family as family_mod
+
+        calls = []
+
+        def counting_factorize(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(arith_mod, "factorize", counting_factorize)
+        arith_mod._factorization.cache_clear()
+        selmer.cache_clear()
+        p = 1043113
+        report = family_mod.verify_prime(p, 60)
+        arith_mod._factorization.cache_clear()
+        # b = 18p^2 and |bbar| = 72p^2, each trial-divided once
+        assert sorted(calls) == [18 * p * p, 72 * p * p]
+        assert report.consistent
 
     def test_dimension_dichotomy(self):
         for p in primes_up_to(200):

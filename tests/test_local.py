@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from isodescent.arith import jacobi, primes_up_to, quartic_symbol, valuation
+from isodescent import local
+from isodescent.arith import is_prime, jacobi, primes_up_to, quartic_symbol, valuation
 from isodescent.local import (
     INFINITY,
     LiftTrace,
@@ -232,3 +233,170 @@ class TestIsZlSquare:
         assert not is_zl_square(5 * 9, 5)  # odd valuation
         assert is_zl_square(17, 2)  # 17 = 1 mod 8
         assert not is_zl_square(12, 2)  # 12 = 4 * 3, 3 != 1 mod 8
+
+
+# ---------------------------------------------------------------------------
+# the odd-l search against a walk over all of F_l
+
+
+def walk_zl_search_odd(f, l, budget):
+    """Reference odd-l search: the walk over every residue of F_l that the
+    engine used before it found roots algebraically.  Same contract as
+    local._zl_search_odd; cost linear in l, so only for small l."""
+    squares = {i * i % l for i in range(1, l)}
+    f, e = local._strip_even_content(f, l)
+    unit_part = f if e == 0 else tuple(c // l for c in f)
+    gmod = [c % l for c in unit_part]
+    if not any(gmod[1:]):
+        return 0 if (e == 0 and gmod[0] in squares) else None
+    roots = []
+    for t0 in range(l):
+        r = local._poly_eval(gmod, t0) % l
+        if r == 0:
+            roots.append(t0)
+        elif e == 0 and r in squares:
+            return t0
+    for t0 in roots:
+        if is_zl_square(local._poly_eval(f, t0), l):
+            return t0
+        assert budget > 0
+        sub = walk_zl_search_odd(local._poly_shift(f, t0, l), l, budget - 1)
+        if sub is not None:
+            return t0 + l * sub
+    return None
+
+
+def _random_forms(rng, count):
+    """(form, l) pairs over odd primes l < 3000, with l-power content and
+    square cofactors in d1, c and d2."""
+    odd = [p for p in primes_up_to(3000) if p > 2]
+    out = []
+    while len(out) < count:
+        l = rng.choice(odd[:12]) if rng.random() < 0.5 else rng.choice(odd)
+
+        def coefficient():
+            x = rng.choice([-1, 1]) * rng.randint(1, 60)
+            x *= l ** rng.choice([0, 0, 0, 1, 2, 3])
+            return x * rng.choice([1, 1, 4, 9, l * l, rng.randint(1, 40) ** 2])
+
+        d1, d2 = coefficient(), coefficient()
+        c = coefficient() if rng.random() < 0.8 else 0
+        if c * c != 4 * d1 * d2:
+            out.append((QuarticForm(d1, c, d2), l))
+    return out
+
+
+class TestOddSearchAgainstWalk:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_certificate_as_the_walk(self, seed, monkeypatch):
+        cases = _random_forms(random.Random(seed), 1500)
+        got = [solvable_padic(q, l) for q, l in cases]
+        monkeypatch.setattr(local, "_zl_search_odd", walk_zl_search_odd)
+        want = [solvable_padic(q, l) for q, l in cases]
+        for (q, l), g, w in zip(cases, got, want):
+            assert (g.solvable, g.route, g.witness) == (w.solvable, w.route, w.witness), (q, l)
+
+    def test_family_spaces_match_the_walk(self, monkeypatch):
+        cases = []
+        for p in (7, 11, 17, 23, 41, 73, 97, 113, 1217):
+            for b in (18 * p * p, -72 * p * p):
+                for b1 in (1, -1, 2, -2, 3, -3, 6, -6, p, -p, 2 * p, -2 * p, 3 * p, -6 * p):
+                    if b % b1 == 0:
+                        cases += [(QuarticForm(b1, 0, b // b1), l) for l in (3, p)]
+        got = [solvable_padic(q, l) for q, l in cases]
+        monkeypatch.setattr(local, "_zl_search_odd", walk_zl_search_odd)
+        assert got == [solvable_padic(q, l) for q, l in cases]
+
+
+def _brute_roots(g, l):
+    return [t for t in range(l) if local._poly_eval(g, t) % l == 0]
+
+
+def _poly_from_roots(lead, roots, l, extra=(1,)):
+    """lead * prod(t - r) * extra over F_l, trimmed."""
+    g = [lead % l]
+    for r in roots:
+        g = local._fl_mul(g, [-r % l, 1], l)
+    return local._fl_trim(local._fl_mul(g, list(extra), l))
+
+
+class TestFlRoots:
+    @pytest.mark.parametrize("l", [3, 5, 7, 11, 13, 9973, 10007, 10009])
+    def test_against_brute_walk(self, l):
+        rng = random.Random(l)
+        for _ in range(40):
+            degree = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                # split, with repeated roots
+                roots = [rng.randrange(l) for _ in range(degree)]
+                roots[-1] = rng.choice(roots)
+                g = _poly_from_roots(rng.randrange(1, l), roots, l)
+            else:
+                g = local._fl_trim([rng.randrange(l) for _ in range(degree)] + [rng.randrange(1, l)])
+            assert local._fl_roots(g, l) == _brute_roots(g, l), g
+
+    @pytest.mark.parametrize("l", [3, 5, 7, 11, 13, 10007])
+    def test_every_residue_a_root_and_irreducible_factors(self, l):
+        rng = random.Random(l + 1)
+        nonresidue = next(n for n in range(2, l) if jacobi(n, l) == -1)
+        # t^2 - n has no root; times linear factors, some repeated
+        for _ in range(20):
+            roots = [rng.randrange(l) for _ in range(rng.randint(0, 2))]
+            g = _poly_from_roots(rng.randrange(1, l), roots * rng.randint(1, 2), l, extra=(-nonresidue % l, 0, 1))
+            assert local._fl_roots(g, l) == _brute_roots(g, l) == sorted(set(roots))
+        if l <= 5:
+            every = _poly_from_roots(1, range(l), l)
+            assert local._fl_roots(every, l) == list(range(l))
+
+
+class TestScaledSquareEarlyStop:
+    # l = 3 mod 4, so 1 + t^2 has no root mod l; a walk over F_l would
+    # test l - 1 residues
+    L = 1_000_003
+
+    def test_scaled_square_recognized(self):
+        l = 10007
+        h = _poly_from_roots(1, [3], l, extra=(5, 1, 1))
+        assert local._fl_is_scaled_square(local._fl_mul([7], local._fl_mul(h, h, l), l), l)
+        assert not local._fl_is_scaled_square(_poly_from_roots(7, [3, 3, 4, 5], l), l)
+        assert not local._fl_is_scaled_square(_poly_from_roots(7, [3, 4, 5], l), l)
+
+    def test_nonresidue_times_square_stops_after_one_residue(self, monkeypatch):
+        l = self.L
+        assert is_prime(l) and l % 4 == 3
+        n = next(n for n in range(2, 100) if jacobi(n, l) == -1)
+        # n*(1 + z^2)^2 + l*z^4: every unit value is n times a square
+        q = QuarticForm(n, 2 * n, n + l)
+        tested = []
+        real_test = local.is_zl_square
+
+        def counting(val, ll):
+            tested.append(val)
+            return real_test(val, ll)
+
+        monkeypatch.setattr(local, "is_zl_square", counting)
+        assert local._zl_search_odd(local._form_poly(q), l, 5) is None
+        assert tested == [n]
+        cert = solvable_padic(q, l)
+        assert not cert.solvable and cert.witness is None
+
+    def test_residue_times_square_is_solvable_at_zero(self):
+        l = self.L
+        r = next(r for r in (2, 3, 5, 6, 7, 10, 11) if jacobi(r, l) == 1)
+        cert = solvable_padic(QuarticForm(r, 2 * r, r + l), l)
+        assert cert.solvable and cert.route == "direct"
+        assert cert.witness == LiftTrace(z0=0, modulus_exp=local._depth_cap(cert.form, l), valuation=0, unit=r)
+
+
+class TestGiantPlace:
+    # the large prime factor of 10^30 + 7 = 251897 * 387727 * L
+    L = 10238844796821566353
+
+    def test_minus_four_space(self):
+        # w^2 = L - 4z^4 has a Q_L point iff -1 is a square mod L
+        cert = solvable_padic(QuarticForm(self.L, 0, -4), self.L)
+        assert cert.solvable == (jacobi(-1, self.L) == 1)
+
+    def test_selmer_space_of_the_curve(self):
+        cert = solvable_padic(QuarticForm(self.L, 0, 1), self.L)
+        assert cert.solvable
