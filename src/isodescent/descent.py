@@ -2,8 +2,9 @@
 
 Curve and dual-curve models, the isogeny pair and their composition,
 Selmer groups from local solvability of the quartic spaces
-w^2 = b1 + a*z^2 + (b/b1)*z^4, the descent map alpha with bounded rational
-point search on those spaces, Lutz-Nagell torsion, and the rank bounds
+w^2 = b1 + a*z^2 + (b/b1)*z^4, the descent map alpha with a bounded, sieved
+rational point search on those spaces, Lutz-Nagell torsion, and the rank
+bounds
 
     upper = dim S[psibar] + dim S[psi] - 2
     lower = dim Im(alpha) + dim Im(alphabar) - 2   (floored at 0)
@@ -252,52 +253,98 @@ def selmer(E: CurveModel, which: str) -> SelmerGroup:
 # rational points on the spaces
 
 
+# Moduli of the square sieve: a power of 2 (every value is a square mod 2),
+# 9, and small odd primes.  Few and small, so that the tables of a class
+# cost far less than the pairs they rule out.
+_SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29)
+# numerators are sieved this many at a time, whatever the height bound
+_BLOCK_BITS = 4096
+
+
+@lru_cache(maxsize=1024)
+def _square_masks(q: int, b1: int, a: int, d2: int) -> tuple[int, ...]:
+    """Entry r is the q-bit mask of the residues s with
+    b1*r^4 + a*s^2*r^2 + d2*s^4 a square mod q (coefficients mod q).
+
+    Entries r and q - r are the same object: the value depends on r^2.
+    """
+    sq = [s * s % q for s in range(q)]
+    squares = set(sq)
+    half = []
+    for r2 in sq[: q // 2 + 1]:
+        c0, c1 = b1 * r2 * r2, a * r2
+        half.append(sum(1 << s for s, s2 in enumerate(sq) if (c0 + (c1 + d2 * s2) * s2) % q in squares))
+    return tuple(half + half[1 : (q + 1) // 2][::-1])
+
+
 def _search_class(
     curve: CurveModel, b1: int, height_bound: int, first_only: bool
 ) -> list[tuple[int, int, int]]:
     """Primitive hits (m, e, w_num) with w^2 = b1 + a*z^2 + (b/b1)*z^4 at
     z = m/e, gcd(m, e) = 1, 1 <= m, e and max(m, e) <= height_bound.
 
-    Enumerates in rings of increasing max(m, e) so small points surface
-    first; exact integer arithmetic throughout.
+    A square sieve in the style of ratpoints.  For each denominator e the
+    candidate numerators form a bitset row of _BLOCK_BITS bits at a time:
+    the AND, over the moduli q of _SIEVE_MODULI, of the periodic masks of
+    the m for which b1*e^4 + a*m^2*e^2 + d2*m^4 is a square mod q.  A
+    square integer is a square mod every q, so no hit is sieved out, and
+    each surviving m gets the exact gcd and isqrt test.  Blocks are
+    visited in rings of increasing max(block of m, block of e), so memory
+    does not grow with the height bound.
+
+    With first_only the search stops at the first hit, which lies in the
+    innermost ring of blocks holding one but need not be the smallest
+    point; whether a hit exists within the bound does not depend on it.
+    Without first_only the hits come in no particular order.
     """
     a, d2 = curve.a, curve.b // b1
+    width = min(_BLOCK_BITS, height_bound)
+    # each mask repeated over width + q bits: shifted right by m0 mod q,
+    # bit j stands for the numerator m0 + j, whatever the block start m0
+    periodic = []
+    for q in _SIEVE_MODULI:
+        repeat = ((1 << (width // q + 2) * q) - 1) // ((1 << q) - 1)  # 1 every q bits
+        periodic.append((q, [mask * repeat for mask in _square_masks(q, b1 % q, a % q, d2 % q)]))
     hits: list[tuple[int, int, int]] = []
-    # with a = 0 and mixed signs, one of m/e, e/m is bounded by |b1/d2|^(1/4)
-    cap = (b1, -d2) if (a == 0 and d2 < 0 and b1 > 0) else None
-    floor_ = (-b1, d2) if (a == 0 and b1 < 0 and d2 > 0) else None
-
-    def try_pair(m: int, e: int) -> bool:
-        if gcd(m, e) != 1:
-            return False
-        m2 = m * m
-        e2 = e * e
-        if cap is not None and m2 * m2 * cap[1] > cap[0] * e2 * e2:
-            return False
-        if floor_ is not None and m2 * m2 * floor_[1] < floor_[0] * e2 * e2:
-            return False
-        n = b1 * e2 * e2 + a * m2 * e2 + d2 * m2 * m2
-        if n < 0:
-            return False
-        r = isqrt(n)
-        if r * r != n:
-            return False
-        hits.append((m, e, r))
-        return True
-
-    for h in range(1, height_bound + 1):
-        for e in range(1, h + 1):
-            if try_pair(h, e) and first_only:
-                return hits
-        for m in range(1, h):
-            if try_pair(m, h) and first_only:
-                return hits
+    for ring in range(-(-height_bound // width)):
+        # the blocks (i, j) of m and e with max(i, j) = ring
+        outer = itertools.chain(((ring, j) for j in range(ring + 1)), ((i, ring) for i in range(ring)))
+        for i, j in outer:
+            m0 = i * width + 1
+            full = (1 << (min(m0 + width, height_bound + 1) - m0)) - 1
+            sieve = [(q, [pattern >> m0 % q & full for pattern in patterns]) for q, patterns in periodic]
+            for e in range(j * width + 1, min((j + 1) * width, height_bound) + 1):
+                row = full
+                for q, masks in sieve:
+                    row &= masks[e % q]
+                    if not row:
+                        break
+                e2 = e * e
+                while row:
+                    low = row & -row
+                    row ^= low
+                    m = m0 + low.bit_length() - 1
+                    if gcd(m, e) != 1:
+                        continue
+                    m2 = m * m
+                    n = b1 * e2 * e2 + a * m2 * e2 + d2 * m2 * m2
+                    if n < 0:
+                        continue
+                    r = isqrt(n)
+                    if r * r != n:
+                        continue
+                    hits.append((m, e, r))
+                    if first_only:
+                        return hits
     return hits
 
 
 def search_homspace_points(E: CurveModel, b1: int, height_bound: int) -> list[HomSpacePoint]:
     """All rational points z = m/e, max(|m|, e) <= height_bound, on the b1
     space of E, with both signs of z and w emitted.
+
+    Every hit of the sieve is kept and the hits are sorted, so the list
+    does not depend on the order in which the sieve meets them.
     """
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
@@ -328,6 +375,9 @@ def alpha_image(E: CurveModel, which: str, height_bound: int) -> frozenset[int]:
     Generated by 1 and the class of b (images of the identity and (0, 0))
     together with every Selmer class whose space yields a rational point
     within the height bound.  Monotone nondecreasing in the bound.
+
+    Each class asks _search_class for its first hit only; which point that
+    is does not matter, only whether the bound holds one.
     """
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")

@@ -431,9 +431,11 @@ def _certificate(q: QuarticForm, l: int, z0: int, on_reciprocal: bool, depth_use
 
 
 def solvable_padic(q: QuarticForm, l: int) -> SolvabilityCertificate:
-    """Decide whether w^2 = d1 + c*z^2 + d2*z^4 has a point over Q_l."""
-    if not is_prime(l):
-        raise ValueError(f"solvable_padic requires a prime, got {l}")
+    """Decide whether w^2 = d1 + c*z^2 + d2*z^4 has a point over Q_l.
+
+    Raises ValueError unless l is prime; building the Place checks it.
+    """
+    place = Place(l)
     cap = _depth_cap(q, l)
     for route, form in (("direct", q), ("reciprocal", q.reciprocal())):
         poly = _form_poly(form)
@@ -443,8 +445,8 @@ def solvable_padic(q: QuarticForm, l: int) -> SolvabilityCertificate:
             z0 = _zl_search_odd(poly, l, cap)
         if z0 is not None:
             witness = _certificate(q, l, z0, route == "reciprocal", cap)
-            return SolvabilityCertificate(q, Place(l), True, witness, route)
-    return SolvabilityCertificate(q, Place(l), False, None, "none")
+            return SolvabilityCertificate(q, place, True, witness, route)
+    return SolvabilityCertificate(q, place, False, None, "none")
 
 
 def solvable_at(q: QuarticForm, place: Place) -> bool:

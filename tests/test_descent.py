@@ -1,7 +1,14 @@
+import time
+import tracemalloc
 from fractions import Fraction
+from math import gcd, isqrt
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from isodescent import descent
 from isodescent.arith import squarefree_class
 from isodescent.descent import (
     PSI,
@@ -160,6 +167,122 @@ class TestSearchHomspacePoints:
         with pytest.raises(ValueError):
             search_homspace_points(E5, 4, 10)
 
+
+def walk_search_class(curve, b1, height_bound, first_only):
+    """The pair walk the sieve replaced, kept as its reference: every
+    (m, e) in rings of increasing max(m, e), with a gcd and an isqrt each.
+    """
+    a, d2 = curve.a, curve.b // b1
+    hits = []
+    # with a = 0 and mixed signs, one of m/e, e/m is bounded by |b1/d2|^(1/4)
+    cap = (b1, -d2) if (a == 0 and d2 < 0 and b1 > 0) else None
+    floor_ = (-b1, d2) if (a == 0 and b1 < 0 and d2 > 0) else None
+
+    def try_pair(m, e):
+        if gcd(m, e) != 1:
+            return False
+        m2 = m * m
+        e2 = e * e
+        if cap is not None and m2 * m2 * cap[1] > cap[0] * e2 * e2:
+            return False
+        if floor_ is not None and m2 * m2 * floor_[1] < floor_[0] * e2 * e2:
+            return False
+        n = b1 * e2 * e2 + a * m2 * e2 + d2 * m2 * m2
+        if n < 0:
+            return False
+        r = isqrt(n)
+        if r * r != n:
+            return False
+        hits.append((m, e, r))
+        return True
+
+    for h in range(1, height_bound + 1):
+        for e in range(1, h + 1):
+            if try_pair(h, e) and first_only:
+                return hits
+        for m in range(1, h):
+            if try_pair(m, h) and first_only:
+                return hits
+    return hits
+
+
+def _assert_sieve_matches_walk(curve, height_bound):
+    for b1 in divisor_classes(curve.b):
+        want = sorted(walk_search_class(curve, b1, height_bound, first_only=False))
+        assert sorted(descent._search_class(curve, b1, height_bound, first_only=False)) == want, b1
+        first = descent._search_class(curve, b1, height_bound, first_only=True)
+        assert len(first) == min(len(want), 1), b1
+        assert set(first) <= set(want), b1
+
+
+# a = 0 and b < 0: every class mixes signs, where the walk's cap/floor short-cut acts
+MIXED_SIGN = [CurveModel(0, b) for b in (-1, -4, -36, -300, -72 * 49, -(2 * 3 * 5 * 7))]
+
+
+class TestSearchSieve:
+    @given(
+        a=st.integers(min_value=-30, max_value=30),
+        b=st.integers(min_value=-300, max_value=300),
+        width=st.sampled_from([1, 3, 8, 16, descent._BLOCK_BITS]),
+        height=st.integers(min_value=1, max_value=60),
+    )
+    @example(a=0, b=-36, width=8, height=7)
+    @example(a=0, b=-300, width=8, height=9)
+    @example(a=0, b=9, width=16, height=16)
+    @settings(max_examples=80, deadline=None)
+    def test_same_hits_as_the_walk(self, a, b, width, height):
+        if b == 0 or a * a == 4 * b:
+            return
+        with mock.patch.object(descent, "_BLOCK_BITS", width):
+            _assert_sieve_matches_walk(CurveModel(a, b), height)
+
+    @pytest.mark.parametrize("curve", MIXED_SIGN + [E7, E11, CurveModel(0, 9), CurveModel(-5, 6)], ids=str)
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_heights_around_the_block_width(self, curve, width, monkeypatch):
+        monkeypatch.setattr(descent, "_BLOCK_BITS", width)
+        for height in (width - 1, width, width + 1, 3 * width + 1):
+            _assert_sieve_matches_walk(curve, height)
+
+    def test_true_block_width_edges(self):
+        # b = 2*(W + 1)^2 + 1 puts a hit at m = W + 1 on the class b and at
+        # e = W + 1 on the class 1.  The walk is too slow at this height, so
+        # the rings max(m, e) >= W - 4 are checked pair by pair, and the
+        # hits inside them must not depend on the height.
+        W = descent._BLOCK_BITS
+        curve = CurveModel(0, 2 * (W + 1) ** 2 + 1)
+        lo = W - 4
+        for b1, corner in ((1, (1, W + 1)), (curve.b, (W + 1, 1))):
+            strip = set()
+            for k in range(lo, W + 2):
+                for m, e in [(k, j) for j in range(1, k + 1)] + [(j, k) for j in range(1, k)]:
+                    n = b1 * e**4 + curve.a * m * m * e * e + curve.b // b1 * m**4
+                    if gcd(m, e) == 1 and n >= 0 and isqrt(n) ** 2 == n:
+                        strip.add((m, e, isqrt(n)))
+            assert corner + (W * W + 2 * W + 2,) in strip
+            inner = []
+            for height in (W - 1, W, W + 1):
+                got = set(descent._search_class(curve, b1, height, first_only=False))
+                assert {h for h in got if max(h[:2]) >= lo} == {h for h in strip if max(h[:2]) <= height}
+                inner.append({h for h in got if max(h[:2]) < lo})
+            assert inner[0] == inner[1] == inner[2]
+
+    def test_memory_does_not_grow_with_the_height(self):
+        # z = 4/11 lies on the class p of E_19249; at height 10^9 an
+        # H-bit row alone would take 119 MiB
+        descent._square_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            hits = descent._search_class(EBIG, P_BIG, 10**9, first_only=True)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hits) == 1
+        m, e, r = hits[0]
+        assert r * r == P_BIG * e**4 + EBIG.b // P_BIG * m**4
+        assert elapsed < 5
+        assert peak < 1 << 20
 
 class TestHomspaceToCurve:
     def test_big_prime_witness(self):

@@ -96,6 +96,20 @@ class TestSolvablePadic:
         with pytest.raises(ValueError):
             solvable_padic(QuarticForm(1, 0, 2), 6)
 
+    def test_one_primality_test_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(local, "is_prime", counting_is_prime)
+        cases = [(QuarticForm(d1, c, d2), l) for d1, c, d2, l, _ in KNOWN_CASES]
+        cases += [(QuarticForm(p, 0, 18 * p), l) for p in (7, 17, 1217) for l in (2, 3, p)]
+        for q, l in cases:
+            solvable_padic(q, l)
+        assert len(calls) <= len(cases)
+
     def test_quartic_criterion_at_p(self):
         # C_p(Q_p) for p = 1 mod 8 is nonempty iff (-18/p)_4 = +1
         for p in primes_up_to(600):
