@@ -11,8 +11,10 @@ a nonzero rational v is the unique squarefree integer s with v = s * k^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
+from typing import Iterator, Optional
 
 # Deterministic Miller-Rabin witness set, valid for all n below this bound
 # (Sorenson-Webster).  Inputs past the bound are rejected rather than
@@ -105,31 +107,48 @@ def _iroot(n: int, k: int) -> int:
         r = s
 
 
+def _prime_power(n: int) -> Optional[tuple[int, int]]:
+    """(r, k) with n = r^k, r prime (below IS_PRIME_LIMIT) and k <= 4, or None."""
+    for k in (1, 2, 3, 4):
+        root = _iroot(n, k)
+        if root**k == n and root < IS_PRIME_LIMIT and is_prime(root):
+            return root, k
+    return None
+
+
+def _trial_primes() -> Iterator[int]:
+    """The primes up to 10^6, ascending; the sieve is built only once the
+    small primes are used up."""
+    yield from _SMALL_PRIMES
+    yield from itertools.islice(_sieve(1_000_000), len(_SMALL_PRIMES), None)
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
     Desk-scale only: trial division by primes up to 10^6, then the remainder
     must be a prime power p^e, e <= 4 (all that descent coefficients like
-    2*b*bbar ever produce).  Anything else is rejected.
+    2*b*bbar ever produce).  Anything else is rejected.  Trial division
+    stops as soon as the cofactor is such a prime power.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _sieve(1_000_000):
-        if p * p > n:
+    power = _prime_power(n)
+    for p in _trial_primes():
+        if power is not None or p * p > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        for mult in (1, 2, 3, 4):
-            root = _iroot(n, mult)
-            if root**mult == n and root < IS_PRIME_LIMIT and is_prime(root):
-                out[root] = out.get(root, 0) + mult
-                break
-        else:
-            raise ValueError(f"cofactor {n} out of supported factoring range")
+        if n % p == 0:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            power = _prime_power(n)
+    # every cofactor was tested as it arose, so what is left is final
+    if power is not None:
+        out[power[0]] = power[1]
+    elif n > 1:
+        raise ValueError(f"cofactor {n} out of supported factoring range")
     return out
 
 

@@ -21,6 +21,15 @@ routes are provided:
     while otherwise Weil's bound guarantees a square value once l >= 17.
     At l = 2 units are recognized mod 8 by a walk over residues mod 8.
 
+    solvable_at, the route the descent takes, asks solvable_padic once per
+    class of the form over Q_l and caches the verdict (4096 entries): for
+    u in Q_l*, (d1*u^2, c, d2/u^2) is (d1, c, d2) after z -> u*z,
+    w -> u*w, so the verdict depends only on l, c, d1*d2 and the class of
+    d1 in Q_l*/Q_l*^2 (Cremona, Algorithms for Modular Elliptic Curves,
+    3.5).  The candidate classes b1 | b of one Selmer group then cost at
+    most 8 + 4*(number of odd bad places) solvable_padic calls, not one
+    per class and place.
+
   * brute_oracle: a breadth-first residue search that only ever reports a
     definite answer with a certificate (an exact Z_l-square value, or a
     proof that every residue class mod l^k is pinned to a non-square).
@@ -33,9 +42,10 @@ point.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Optional, Union
 
@@ -409,8 +419,7 @@ def _form_poly(q: QuarticForm) -> Poly:
 def _certificate(q: QuarticForm, l: int, z0: int, on_reciprocal: bool, depth_used: int):
     """Build the strongest witness available for the found residue."""
     poly_form = q.reciprocal() if on_reciprocal else q
-    val = poly_form.value(Fraction(z0))
-    n = int(val)
+    n = _poly_eval(_form_poly(poly_form), z0)
     root = isqrt(n) if n >= 0 else -1
     if n >= 0 and root * root == n:
         z = Fraction(z0)
@@ -449,10 +458,43 @@ def solvable_padic(q: QuarticForm, l: int) -> SolvabilityCertificate:
     return SolvabilityCertificate(q, place, False, None, "none")
 
 
+def _square_class(n: int, l: int) -> tuple[int, int]:
+    """The class of the nonzero integer n in Q_l*/Q_l*^2, as the parity of
+    v_l(n) and the character of its unit part: Euler's criterion at odd l,
+    the residue mod 8 at l = 2."""
+    v = _vl(n, l)
+    unit = n // l**v
+    if l == 2:
+        return v % 2, unit % 8
+    return v % 2, pow(unit % l, (l - 1) // 2, l)
+
+
+@dataclass(frozen=True, slots=True)
+class _PadicQuestion:
+    """One Q_l question, keyed by l, c, d1*d2 and the class of d1 in
+    Q_l*/Q_l*^2, which fix the form up to isomorphism over Q_l (see the
+    module docstring).  The form is the representative that gets decided
+    and takes no part in equality or hashing."""
+
+    l: int
+    c: int
+    d1d2: int
+    d1_class: tuple[int, int]
+    form: QuarticForm = field(compare=False)
+
+
+@lru_cache(maxsize=4096)
+def _padic_verdict(question: _PadicQuestion) -> bool:
+    return solvable_padic(question.form, question.l).solvable
+
+
 def solvable_at(q: QuarticForm, place: Place) -> bool:
+    """Whether q has a point over the completion at place; a Q_l verdict
+    is decided once per _PadicQuestion and then read from a bounded cache."""
     if place.is_infinite:
         return solvable_real(q)
-    return solvable_padic(q, place.prime).solvable
+    l = place.prime
+    return _padic_verdict(_PadicQuestion(l, q.c, q.d1 * q.d2, _square_class(q.d1, l), q))
 
 
 def solvable_everywhere_locally(q: QuarticForm, places: Iterable[Place]) -> bool:

@@ -1,7 +1,12 @@
+import math
+import re
+from functools import lru_cache
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isodescent import arith
 from isodescent.arith import (
     IS_PRIME_LIMIT,
     _iroot,
@@ -148,6 +153,71 @@ class TestFactorize:
         # 10^27 + 7 = 8325465851 * 120113398805171557; 10^400 + 1 is past float range
         with pytest.raises(ValueError, match="out of supported factoring range"):
             factorize(n)
+
+
+@lru_cache(maxsize=1)
+def _primes_to_a_million():
+    return primes_up_to(10**6)
+
+
+def full_trial_division(n):
+    """factorize as it was before it stopped early: trial division by every
+    prime up to 10^6 while p^2 <= n, then a prime-power cofactor."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    n = abs(n)
+    out = {}
+    for p in _primes_to_a_million():
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        for mult in (1, 2, 3, 4):
+            root = _iroot(n, mult)
+            if root**mult == n and root < IS_PRIME_LIMIT and is_prime(root):
+                out[root] = out.get(root, 0) + mult
+                break
+        else:
+            raise ValueError(f"cofactor {n} out of supported factoring range")
+    return out
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+class TestFactorizeStopsEarly:
+    def test_prime_square_cofactor_builds_no_sieve(self):
+        arith._sieve.cache_clear()
+        p = 1043113
+        assert factorize(18 * p * p) == {2: 1, 3: 2, p: 2}
+        assert arith._sieve.cache_info().currsize == 0
+
+    @given(
+        small=st.lists(st.sampled_from(primes_up_to(100)), max_size=6),
+        r=st.integers(min_value=2, max_value=9_999_991).map(_next_prime),
+        k=st.integers(min_value=1, max_value=5),
+        sign=st.sampled_from([1, -1]),
+    )
+    @example(small=[2, 3, 3], r=1043113, k=2, sign=1)
+    @example(small=[2, 3, 3], r=1043113, k=5, sign=1)  # past 10^6: rejected as before
+    @example(small=[2, 2, 2, 3, 3], r=999983, k=5, sign=-1)  # trial division finds it
+    @example(small=[97, 97], r=2, k=5, sign=1)
+    @example(small=[], r=7, k=1, sign=1)
+    @settings(max_examples=200, deadline=None)
+    def test_same_as_full_trial_division(self, small, r, k, sign):
+        n = sign * math.prod(small) * r**k
+        try:
+            want = full_trial_division(n)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                factorize(n)
+        else:
+            assert factorize(n) == want
 
 
 class TestIroot:

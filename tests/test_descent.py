@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isodescent import descent
+from isodescent import descent, local
 from isodescent.arith import squarefree_class
 from isodescent.descent import (
     PSI,
@@ -31,7 +31,7 @@ from isodescent.descent import (
     selmer,
     torsion_info,
 )
-from isodescent.local import INFINITY, Place
+from isodescent.local import INFINITY, Place, QuarticForm, solvable_padic, solvable_real
 
 E7 = CurveModel(0, 18 * 49)
 E5 = CurveModel(0, 18 * 25)
@@ -134,6 +134,47 @@ class TestSelmer:
                     for v in classes:
                         assert class_product(u, v) in classes
                 assert len(classes) == 2**group.dim
+
+
+def reference_selmer(E, which):
+    """The Selmer classes with every (class, place) decided afresh."""
+    curve = E if which == PSIBAR else dual_curve(E)
+    places = bad_places(E)
+
+    def everywhere(q):
+        return all(solvable_real(q) if pl.is_infinite else solvable_padic(q, pl.prime).solvable for pl in places)
+
+    return frozenset(b1 for b1 in divisor_classes(curve.b) if everywhere(QuarticForm(b1, curve.a, curve.b // b1)))
+
+
+class TestSelmerVerdictCache:
+    @given(a=st.integers(min_value=-30, max_value=30), b=st.integers(min_value=-300, max_value=300))
+    @example(a=0, b=18 * 49)
+    @example(a=0, b=-72 * 49)
+    @settings(max_examples=150, deadline=None)
+    def test_same_groups_as_deciding_every_class(self, a, b):
+        if b == 0 or a * a == 4 * b:
+            return
+        E = CurveModel(a, b)
+        local._padic_verdict.cache_clear()
+        for which in (PSIBAR, PSI):
+            assert selmer.__wrapped__(E, which).classes == reference_selmer(E, which), which
+
+    @pytest.mark.parametrize("which", [PSIBAR, PSI])
+    def test_one_padic_call_per_class_over_q_l(self, which, monkeypatch):
+        E = CurveModel(0, 18 * 19249**2)
+        want = reference_selmer(E, which)
+        calls = []
+
+        def counting_solvable_padic(q, l):
+            calls.append((q, l))
+            return solvable_padic(q, l)
+
+        monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
+        local._padic_verdict.cache_clear()
+        assert selmer.__wrapped__(E, which).classes == want
+        # bad places 2, 3 and 19249: at most 8 + 4 + 4 classes of b1 over Q_l
+        assert 0 < len(calls) <= 16
 
 
 class TestSearchHomspacePoints:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from isodescent import local
-from isodescent.arith import is_prime, jacobi, primes_up_to, quartic_symbol, valuation
+from isodescent.arith import is_prime, jacobi, primes_up_to, quartic_symbol, squarefree_class, valuation
 from isodescent.local import (
     INFINITY,
     LiftTrace,
@@ -14,6 +14,7 @@ from isodescent.local import (
     Verdict,
     brute_oracle,
     is_zl_square,
+    solvable_at,
     solvable_everywhere_locally,
     solvable_padic,
     solvable_real,
@@ -192,6 +193,73 @@ class TestEngineProperties:
                 if verdict is Verdict.UNKNOWN:
                     continue
                 assert (verdict is Verdict.SOLVABLE) == solvable_padic(q, l).solvable
+
+
+def _forms_by_product(limit, cs):
+    """(d1, c, n // d1) for 0 < |n| <= limit, every signed divisor d1 of n
+    and every c in cs, nondegenerate ones only."""
+    for n in range(-limit, limit + 1):
+        for d in range(1, abs(n) + 1):
+            if n % d == 0:
+                for d1 in (d, -d):
+                    for c in cs:
+                        if c * c != 4 * n:
+                            yield QuarticForm(d1, c, n // d1)
+
+
+class TestVerdictPerClassOverQl:
+    """solvable_at decides one form per (l, c, d1*d2, class of d1 in Q_l*/Q_l*^2)."""
+
+    @pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+    def test_square_class_is_the_class_in_ql(self, l):
+        # n and m share a class iff n/m, equivalently n*m, is a square in Q_l
+        values = [n for n in range(-80, 81) if n != 0]
+        for n in values:
+            for m in values:
+                same = local._square_class(n, l) == local._square_class(m, l)
+                assert same == is_zl_square(n * m, l), (n, m)
+
+    @pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+    def test_verdict_depends_only_on_the_key(self, l):
+        verdicts = {}
+        for q in _forms_by_product(96, (-3, 0, 1, 4, 6)):
+            key = (q.c, q.d1 * q.d2, local._square_class(q.d1, l))
+            verdicts.setdefault(key, {})[q.d1] = solvable_padic(q, l).solvable
+        for key, by_d1 in verdicts.items():
+            assert len(set(by_d1.values())) == 1, (key, by_d1)
+        # keys that join d1 whose quotient is an l-adic but not a rational square
+        joined = [
+            by_d1
+            for by_d1 in verdicts.values()
+            if any(squarefree_class(d * e) != 1 for d in by_d1 for e in by_d1)
+        ]
+        assert len(joined) > 20
+
+    def test_six_is_a_five_adic_square(self):
+        # 6 = 1 mod 5, so (6, c, k) and (1, c, 6k) are one question at l = 5
+        assert local._square_class(6, 5) == local._square_class(1, 5)
+        for k in (-7, -5, -2, 1, 3, 5, 10, 25):
+            for c in (-3, 0, 1, 4):
+                six, one = QuarticForm(6, c, k), QuarticForm(1, c, 6 * k)
+                assert solvable_padic(six, 5).solvable == solvable_padic(one, 5).solvable, (c, k)
+
+    def test_solvable_at_agrees_with_solvable_padic(self):
+        local._padic_verdict.cache_clear()
+        for q in _forms_by_product(24, (0, 2)):
+            for l in (2, 3, 5):
+                assert solvable_at(q, Place(l)) == solvable_padic(q, l).solvable, (q, l)
+
+    def test_witnesses_hold_over_q(self):
+        # _certificate evaluates in integers; QuarticForm.value in Fractions
+        for q, l in _random_forms(random.Random(3), 1500):
+            cert = solvable_padic(q, l)
+            w = cert.witness
+            if isinstance(w, PointWitness):
+                form = q.reciprocal() if w.on_reciprocal else q
+                assert w.w * w.w == form.value(w.z), (q, l)
+            elif isinstance(w, LiftTrace):
+                form = q.reciprocal() if w.on_reciprocal else q
+                assert form.value(Fraction(w.z0)) == l**w.valuation * w.unit, (q, l)
 
 
 class TestBruteOracle:
