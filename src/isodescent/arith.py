@@ -64,6 +64,12 @@ def valuation(n: int, l: int) -> int:
         raise ValueError("valuation of 0 is undefined")
     if not is_prime(l):
         raise ValueError(f"valuation requires a prime base, got {l}")
+    return _vl(n, l)
+
+
+def _vl(n: int, l: int) -> int:
+    """valuation(n, l) without its checks, for callers that already know
+    n != 0 and l prime (the local engine asks this at every residue)."""
     e = 0
     while n % l == 0:
         n //= l

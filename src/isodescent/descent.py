@@ -175,8 +175,10 @@ def dual_curve(E: CurveModel) -> CurveModel:
     return CurveModel(-2 * E.a, E.a * E.a - 4 * E.b)
 
 
+@lru_cache(maxsize=4096)
 def bad_places(E: CurveModel) -> frozenset[Place]:
-    """Infinity together with every prime dividing 2*b*bbar."""
+    """Infinity together with every prime dividing 2*b*bbar; computed once
+    per curve, since both Selmer groups and the closed forms ask for it."""
     bbar = dual_curve(E).b
     primes = {2} | {p for p, _ in _factorization(abs(E.b)) + _factorization(abs(bbar))}
     return frozenset({INFINITY} | {Place(p) for p in primes})

@@ -104,6 +104,10 @@ def _require_prime(p: int) -> None:
 def curve_for_prime(p: int) -> CurveModel:
     """y^2 = x^3 + 18p^2x."""
     _require_prime(p)
+    return _curve(p)
+
+
+def _curve(p: int) -> CurveModel:
     return CurveModel(0, 18 * p * p)
 
 
@@ -123,7 +127,7 @@ def transform_point(p: int, P: CurvePoint, direction: str) -> CurvePoint:
         if Y * Y != 3 * X**3 + 6 * p * p * X:
             raise ValueError("point is not on Y^2 = 3X^3 + 6p^2X")
         return CurvePoint(3 * X, 3 * Y)
-    if not on_curve(curve_for_prime(p), P):
+    if not on_curve(_curve(p), P):
         raise ValueError("point is not on y^2 = x^3 + 18p^2x")
     return CurvePoint(X / 3, Y / 3)
 
@@ -134,10 +138,17 @@ def classify(p: int) -> PrimeClass:
     return PrimeClass(p, p % 24, quartic2)
 
 
+# Each public table of p tests that p is prime, through classify; its
+# private twin takes the PrimeClass, so verify_prime tests p only once.
+
+
 def closed_form_selmer_psibar(p: int) -> SelmerGroup:
     """The five-case table for S_p[psibar], keyed on p mod 24 and (2/p)_4."""
-    cls = classify(p)
-    r, q4 = cls.residue_mod_24, cls.quartic2
+    return _closed_psibar(classify(p))
+
+
+def _closed_psibar(cls: PrimeClass) -> SelmerGroup:
+    p, r, q4 = cls.p, cls.residue_mod_24, cls.quartic2
     if p in (2, 3):
         members = [1, 2]
     elif r in (11, 19) or (r == 1 and q4 == 1):
@@ -150,26 +161,32 @@ def closed_form_selmer_psibar(p: int) -> SelmerGroup:
         members = [1, 2, p, 2 * p]
     else:  # p = 7 mod 24
         members = [1, 2]
-    return SelmerGroup(frozenset(members), bad_places(curve_for_prime(p)), PSIBAR)
+    return SelmerGroup(frozenset(members), bad_places(_curve(p)), PSIBAR)
 
 
 def closed_form_selmer_psi(p: int) -> SelmerGroup:
     """The three-case table for S_p[psi]."""
-    cls = classify(p)
-    r, q4 = cls.residue_mod_24, cls.quartic2
+    return _closed_psi(classify(p))
+
+
+def _closed_psi(cls: PrimeClass) -> SelmerGroup:
+    p, r, q4 = cls.p, cls.residue_mod_24, cls.quartic2
     if r == 1 and q4 == 1:
         members = [1, -2, p, -2 * p]
     elif r == 23:
         members = [1, -2, -p, 2 * p]
     else:
         members = [1, -2]
-    return SelmerGroup(frozenset(members), bad_places(curve_for_prime(p)), PSI)
+    return SelmerGroup(frozenset(members), bad_places(_curve(p)), PSI)
 
 
 def theorem_bound(p: int) -> RankStatement:
     """Rank ceiling by residue class: 0 exact, or <=1 / <=2 / <=3."""
-    cls = classify(p)
-    r, q4 = cls.residue_mod_24, cls.quartic2
+    return _theorem_bound(classify(p))
+
+
+def _theorem_bound(cls: PrimeClass) -> RankStatement:
+    p, r, q4 = cls.p, cls.residue_mod_24, cls.quartic2
     if p in (2, 3) or r == 7:
         return RankStatement(0, exact=True)
     if r in (5, 13, 17):
@@ -230,7 +247,7 @@ def witness_homspace_point(p: int, w: ReprWitness) -> HomSpacePoint:
         point = HomSpacePoint(p, Fraction(b, a), Fraction(p, a * a))
     else:
         raise ValueError(f"unknown witness kind {w.kind!r}")
-    curve = curve_for_prime(p)
+    curve = _curve(p)
     value = point.b1 + (curve.b // point.b1) * point.z**4
     if point.w**2 != value:
         raise AssertionError("witness point fails its space equation")
@@ -271,19 +288,19 @@ def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
     """Run closed forms and the generic engine side by side.
 
     Inconsistency is reported in the `consistent` flag, never raised: the
-    whole point of the harness is to surface disagreement as data.
+    whole point of the harness is to surface disagreement as data.  p is
+    tested for primality once, by classify.
     """
-    _require_prime(p)
     cls = classify(p)
-    E = curve_for_prime(p)
-    closed_bar = closed_form_selmer_psibar(p)
-    closed_psi = closed_form_selmer_psi(p)
+    E = _curve(p)
+    closed_bar = _closed_psibar(cls)
+    closed_psi = _closed_psi(cls)
     engine_bar = selmer(E, PSIBAR)
     engine_psi = selmer(E, PSI)
     bounds = rank_bounds(E, height_bound)
     w3p, wp = find_repr(3 * p, 2), find_repr(p, 18)
     prop = _proposition(cls, w3p, wp)
-    bound_stmt = theorem_bound(p)
+    bound_stmt = _theorem_bound(cls)
 
     consistent = (
         closed_bar.classes == engine_bar.classes

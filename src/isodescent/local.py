@@ -22,13 +22,17 @@ routes are provided:
     At l = 2 units are recognized mod 8 by a walk over residues mod 8.
 
     solvable_at, the route the descent takes, asks solvable_padic once per
-    class of the form over Q_l and caches the verdict (4096 entries): for
-    u in Q_l*, (d1*u^2, c, d2/u^2) is (d1, c, d2) after z -> u*z,
-    w -> u*w, so the verdict depends only on l, c, d1*d2 and the class of
-    d1 in Q_l*/Q_l*^2 (Cremona, Algorithms for Modular Elliptic Curves,
-    3.5).  The candidate classes b1 | b of one Selmer group then cost at
-    most 8 + 4*(number of odd bad places) solvable_padic calls, not one
-    per class and place.
+    class of the form over Q_l and caches the verdict (4096 entries).  For
+    u, v in Q_l*, z -> u*z, w -> v*w takes (d1, c, d2) to
+    (v^2*d1, u^2*v^2*c, u^4*v^2*d2) (Cremona, Algorithms for Modular
+    Elliptic Curves, 3.5).  With u*v = 1 this fixes c and d1*d2, so the
+    verdict depends only on l, c, d1*d2 and the class of d1 in
+    Q_l*/Q_l*^2.  When c = 0 any u, v will do, and the class of d1 in
+    Q_l*/Q_l*^2 with that of d1*d2 in Q_l*/Q_l*^4 fix the form exactly.
+    So one Selmer group costs at most 8 + 4*(number of odd bad places)
+    solvable_padic calls, and the c = 0 spaces of different curves share
+    their verdicts: all E_p : y^2 = x^3 + 18p^2x with p > 3 ask the same
+    32 Q_2 and 8 Q_3 questions at most, over both sides.
 
   * brute_oracle: a breadth-first residue search that only ever reports a
     definite answer with a certificate (an exact Z_l-square value, or a
@@ -46,10 +50,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Optional, Union
 
-from .arith import is_prime
+from .arith import _vl, is_prime
 
 
 class LocalEngineError(RuntimeError):
@@ -182,14 +186,6 @@ def _poly_shift(f: Poly, t0: int, l: int) -> Poly:
         taylor.append(carry * t0 + work[0])
         work = quot
     return tuple(taylor[i] * l**i for i in range(len(taylor)))
-
-
-def _vl(n: int, l: int) -> int:
-    v = 0
-    while n % l == 0:
-        n //= l
-        v += 1
-    return v
 
 
 def is_zl_square(val: int, l: int) -> bool:
@@ -458,29 +454,37 @@ def solvable_padic(q: QuarticForm, l: int) -> SolvabilityCertificate:
     return SolvabilityCertificate(q, place, False, None, "none")
 
 
-def _square_class(n: int, l: int) -> tuple[int, int]:
-    """The class of the nonzero integer n in Q_l*/Q_l*^2, as the parity of
-    v_l(n) and the character of its unit part: Euler's criterion at odd l,
-    the residue mod 8 at l = 2."""
+def _power_class(n: int, l: int, k: int) -> tuple[int, int]:
+    """The class of the nonzero integer n in Q_l*/Q_l*^k, k in (2, 4), as
+    v_l(n) mod k and the unit part up to k-th powers: at l = 2 its residue
+    mod 4k, since (Z_2*)^2 = 1 + 8Z_2 and (Z_2*)^4 = 1 + 16Z_2; at odd l,
+    by Hensel's lemma, its power (l-1)/gcd(k, l-1) mod l."""
     v = _vl(n, l)
     unit = n // l**v
     if l == 2:
-        return v % 2, unit % 8
-    return v % 2, pow(unit % l, (l - 1) // 2, l)
+        return v % k, unit % (4 * k)
+    return v % k, pow(unit % l, (l - 1) // gcd(k, l - 1), l)
 
 
 @dataclass(frozen=True, slots=True)
 class _PadicQuestion:
-    """One Q_l question, keyed by l, c, d1*d2 and the class of d1 in
-    Q_l*/Q_l*^2, which fix the form up to isomorphism over Q_l (see the
-    module docstring).  The form is the representative that gets decided
-    and takes no part in equality or hashing."""
+    """One Q_l question, keyed by l, c, the class of d1 in Q_l*/Q_l*^2 and
+    d1*d2: exactly when c != 0, by its class in Q_l*/Q_l*^4 when c = 0.
+    These fix the form up to isomorphism over Q_l (see the module
+    docstring).  The form is the representative that gets decided and
+    takes no part in equality or hashing."""
 
     l: int
     c: int
-    d1d2: int
     d1_class: tuple[int, int]
+    d1d2_class: Union[int, tuple[int, int]]
     form: QuarticForm = field(compare=False)
+
+
+def _question(q: QuarticForm, l: int) -> _PadicQuestion:
+    d1d2 = q.d1 * q.d2
+    d1d2_class = _power_class(d1d2, l, 4) if q.c == 0 else d1d2
+    return _PadicQuestion(l, q.c, _power_class(q.d1, l, 2), d1d2_class, q)
 
 
 @lru_cache(maxsize=4096)
@@ -493,8 +497,7 @@ def solvable_at(q: QuarticForm, place: Place) -> bool:
     is decided once per _PadicQuestion and then read from a bounded cache."""
     if place.is_infinite:
         return solvable_real(q)
-    l = place.prime
-    return _padic_verdict(_PadicQuestion(l, q.c, q.d1 * q.d2, _square_class(q.d1, l), q))
+    return _padic_verdict(_question(q, place.prime))
 
 
 def solvable_everywhere_locally(q: QuarticForm, places: Iterable[Place]) -> bool:

@@ -1,5 +1,7 @@
+import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 from unittest import mock
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isodescent import descent, local
-from isodescent.arith import squarefree_class
+from isodescent.arith import primes_up_to, squarefree_class
 from isodescent.descent import (
     PSI,
     PSIBAR,
@@ -31,6 +33,7 @@ from isodescent.descent import (
     selmer,
     torsion_info,
 )
+from isodescent.family import verify_prime
 from isodescent.local import INFINITY, Place, QuarticForm, solvable_padic, solvable_real
 
 E7 = CurveModel(0, 18 * 49)
@@ -175,6 +178,35 @@ class TestSelmerVerdictCache:
         assert selmer.__wrapped__(E, which).classes == want
         # bad places 2, 3 and 19249: at most 8 + 4 + 4 classes of b1 over Q_l
         assert 0 < len(calls) <= 16
+
+    def test_family_groups_with_a_warm_cache(self):
+        # the E_p share their Q_2 and Q_3 verdicts, so each group after the
+        # first is read mostly from verdicts that other primes decided
+        primes = primes_up_to(300) + [1217, 19249, 1043113]
+        random.Random(11).shuffle(primes)
+        local._padic_verdict.cache_clear()
+        for p in primes:
+            E = CurveModel(0, 18 * p * p)
+            for which in (PSIBAR, PSI):
+                assert selmer.__wrapped__(E, which).classes == reference_selmer(E, which), (p, which)
+
+    def test_family_asks_few_q2_and_q3_questions(self, monkeypatch):
+        calls = Counter()
+
+        def counting_solvable_padic(q, l):
+            calls[l] += 1
+            return solvable_padic(q, l)
+
+        monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
+        local._padic_verdict.cache_clear()
+        selmer.cache_clear()
+        for p in primes_up_to(500):
+            assert verify_prime(p, 10).consistent
+        selmer.cache_clear()
+        # 8 classes of d1 at l = 2 (4 at l = 3) times 4 classes of d1*d2
+        # (2 at l = 3) for p > 3, and as many again for p = 2 and p = 3
+        assert calls[2] <= 64
+        assert calls[3] <= 16
 
 
 class TestSearchHomspacePoints:

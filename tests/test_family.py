@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from isodescent.arith import factorize, primes_up_to
-from isodescent.descent import PSI, PSIBAR, CurveModel, CurvePoint, selmer
+from isodescent.arith import factorize, is_prime, primes_up_to
+from isodescent.descent import PSI, PSIBAR, CurveModel, CurvePoint, bad_places, selmer
 from isodescent.family import (
     FROM_REDUCED,
     KIND_3P,
@@ -241,6 +241,36 @@ class TestVerifyPrime:
         # b = 18p^2 and |bbar| = 72p^2, each trial-divided once
         assert sorted(calls) == [18 * p * p, 72 * p * p]
         assert report.consistent
+
+    def test_one_primality_test_of_p(self, monkeypatch):
+        import isodescent.family as family_mod
+
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(family_mod, "is_prime", counting_is_prime)
+        for p in (7, 1217, 19249):
+            calls.clear()
+            family_mod.verify_prime(p, 10)
+            assert calls == [p]
+
+    @pytest.mark.parametrize(
+        "fn", [verify_prime, classify, curve_for_prime, closed_form_selmer_psibar, closed_form_selmer_psi, theorem_bound]
+    )
+    def test_public_functions_still_reject_composites(self, fn):
+        with pytest.raises(ValueError, match="15 is not prime"):
+            fn(15)
+
+    def test_bad_places_once_per_curve(self):
+        bad_places.cache_clear()
+        selmer.cache_clear()
+        verify_prime(1217, 10)
+        # both Selmer groups and both closed forms ask for them
+        assert bad_places.cache_info().misses == 1
+        assert bad_places.cache_info().hits >= 3
 
     def test_dimension_dichotomy(self):
         for p in primes_up_to(200):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -216,14 +218,14 @@ class TestVerdictPerClassOverQl:
         values = [n for n in range(-80, 81) if n != 0]
         for n in values:
             for m in values:
-                same = local._square_class(n, l) == local._square_class(m, l)
+                same = local._power_class(n, l, 2) == local._power_class(m, l, 2)
                 assert same == is_zl_square(n * m, l), (n, m)
 
     @pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
     def test_verdict_depends_only_on_the_key(self, l):
         verdicts = {}
         for q in _forms_by_product(96, (-3, 0, 1, 4, 6)):
-            key = (q.c, q.d1 * q.d2, local._square_class(q.d1, l))
+            key = (q.c, q.d1 * q.d2, local._power_class(q.d1, l, 2))
             verdicts.setdefault(key, {})[q.d1] = solvable_padic(q, l).solvable
         for key, by_d1 in verdicts.items():
             assert len(set(by_d1.values())) == 1, (key, by_d1)
@@ -237,7 +239,7 @@ class TestVerdictPerClassOverQl:
 
     def test_six_is_a_five_adic_square(self):
         # 6 = 1 mod 5, so (6, c, k) and (1, c, 6k) are one question at l = 5
-        assert local._square_class(6, 5) == local._square_class(1, 5)
+        assert local._power_class(6, 5, 2) == local._power_class(1, 5, 2)
         for k in (-7, -5, -2, 1, 3, 5, 10, 25):
             for c in (-3, 0, 1, 4):
                 six, one = QuarticForm(6, c, k), QuarticForm(1, c, 6 * k)
@@ -260,6 +262,94 @@ class TestVerdictPerClassOverQl:
             elif isinstance(w, LiftTrace):
                 form = q.reciprocal() if w.on_reciprocal else q
                 assert form.value(Fraction(w.z0)) == l**w.valuation * w.unit, (q, l)
+
+
+def _is_ql_power(n, l, k):
+    """Whether the nonzero integer n is a k-th power in Q_l, k in (2, 4): an
+    exponent divisible by k and a unit that is a k-th power mod l, or mod
+    32 at l = 2 (enough for Hensel's lemma, as v_2(4*t^3) = 2)."""
+    v = valuation(n, l)
+    unit = n // l**v
+    modulus = 32 if l == 2 else l
+    return v % k == 0 and unit % modulus in {pow(t, k, modulus) for t in range(1, modulus)}
+
+
+@lru_cache(maxsize=None)
+def _c0_verdicts(l):
+    """The verdict of solvable_padic on every (d1, 0, d2), 0 < |d1|, |d2| <= 40."""
+    values = [n for n in range(-40, 41) if n != 0]
+    return {(d1, d2): solvable_padic(QuarticForm(d1, 0, d2), l).solvable for d1 in values for d2 in values}
+
+
+def _conflicts(l, key):
+    """The number of forms whose verdict differs from that of the first
+    form with the same key."""
+    first = {}
+    return sum(first.setdefault(key(d1, d2), v) != v for (d1, d2), v in _c0_verdicts(l).items())
+
+
+def _key_with(l, product_class):
+    """The c = 0 key with product_class(v, unit) as the class of d1*d2."""
+
+    def key(d1, d2):
+        v = valuation(d1 * d2, l)
+        return local._power_class(d1, l, 2), product_class(v, d1 * d2 // l**v)
+
+    return key
+
+
+# keys coarser than Q_l*/Q_l*^4 for d1*d2, each wrong for some form
+COARSER_KEYS = [
+    (2, lambda v, u: (v % 4, u % 8)),  # the unit mod 8
+    (2, lambda v, u: (v % 2, u % 16)),  # the valuation mod 2
+    (3, lambda v, u: (v % 2, u % 3)),  # the valuation mod 2
+    (5, lambda v, u: (v % 2, pow(u, 2, 5))),  # the square class
+    (13, lambda v, u: (v % 2, pow(u, 6, 13))),  # the square class
+]
+
+
+class TestCZeroQuestionPerClassOverQl:
+    """solvable_at decides one c = 0 form per class of d1 in Q_l*/Q_l*^2 and
+    class of d1*d2 in Q_l*/Q_l*^4."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("l", [2, 3, 5, 7, 13])
+    def test_power_class_is_the_class_in_ql(self, l, k):
+        # n and m share a class iff n/m, equivalently n*m^(k-1), is a k-th power
+        values = [n for n in range(-60, 61) if n != 0]
+        for n in values:
+            for m in values:
+                same = local._power_class(n, l, k) == local._power_class(m, l, k)
+                assert same == _is_ql_power(n * m ** (k - 1), l, k), (n, m)
+
+    @pytest.mark.parametrize("l", [2, 3, 5, 7, 11, 13, 17])
+    def test_one_verdict_per_key(self, l):
+        assert _conflicts(l, lambda d1, d2: local._question(QuarticForm(d1, 0, d2), l)) == 0
+        keys = {local._question(QuarticForm(d1, 0, d2), l) for d1, d2 in _c0_verdicts(l)}
+        # classes of d1 mod squares times classes of d1*d2 mod fourth powers
+        assert len(keys) <= (8 * 32 if l == 2 else 4 * 4 * gcd(4, l - 1))
+
+    @pytest.mark.parametrize("l,product_class", COARSER_KEYS)
+    def test_coarser_keys_conflict(self, l, product_class):
+        assert _conflicts(l, _key_with(l, product_class)) > 0
+
+    def test_the_key_helper_is_exact_with_the_right_class(self):
+        assert _conflicts(2, _key_with(2, lambda v, u: (v % 4, u % 16))) == 0
+        assert _conflicts(13, _key_with(13, lambda v, u: (v % 4, pow(u, 3, 13)))) == 0
+
+    def test_forms_of_different_curves_share_a_verdict(self):
+        # the 3-spaces of E_7 and E_17: 7^2 = 17^2 (mod 16), and both are units at 3
+        for l in (2, 3):
+            assert local._question(QuarticForm(3, 0, 6 * 49), l) == local._question(QuarticForm(3, 0, 6 * 289), l)
+        local._padic_verdict.cache_clear()
+        assert solvable_at(QuarticForm(3, 0, 6 * 49), Place(2))
+        assert solvable_at(QuarticForm(3, 0, 6 * 289), Place(2))
+        assert local._padic_verdict.cache_info().misses == 1
+
+    def test_c_nonzero_keeps_the_exact_product(self):
+        # 18 and 18*81 are one class mod fourth powers at l = 3, not one number
+        assert local._question(QuarticForm(1, 1, 18), 3) != local._question(QuarticForm(1, 1, 18 * 81), 3)
+        assert local._question(QuarticForm(1, 0, 18), 3) == local._question(QuarticForm(1, 0, 18 * 81), 3)
 
 
 class TestBruteOracle:
