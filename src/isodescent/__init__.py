@@ -56,7 +56,6 @@ from .local import (
     INFINITY,
     Place,
     QuarticForm,
-    SolvabilityCertificate,
     Verdict,
     brute_oracle,
     solvable_everywhere_locally,

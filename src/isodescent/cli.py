@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional
 
-from .arith import is_prime, primes_up_to
+from .arith import IS_PRIME_LIMIT, is_prime, primes_up_to
 from .descent import PSI, PSIBAR, CurveModel, RankBounds, bad_places, rank_bounds, selmer
 from .family import (
     KIND_3P,
@@ -98,18 +98,26 @@ _CELL_TYPES = {
 }
 
 
-def _prime_arg(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
+def _prime_arg(text: str) -> int:
+    value = _int_arg(text)
+    if value >= IS_PRIME_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"{value} is past the range of the primality test (p < {IS_PRIME_LIMIT})"
+        )
     if value < 2 or not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 
 
 def _positive_arg(text: str) -> int:
-    value = int(text)
+    value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -155,8 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
 
     sp = sub.add_parser("descent", help="rank bounds for an arbitrary curve (a, b)")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
+    sp.add_argument("--a", type=_int_arg, required=True)
+    sp.add_argument("--b", type=_int_arg, required=True)
     add_common(sp)
     return parser
 

@@ -4,22 +4,26 @@ Decides existence of points over the reals and over every Q_l, which is
 what membership in a descent Selmer group reduces to.  Two independent
 routes are provided:
 
-  * solvable_padic: a complete residue-recursion engine.  A Q_l-point
-    exists iff a Z_l-point (with v(z) >= 0) exists on the form or on its
-    reciprocal (d2, c, d1), the image of z -> 1/z, w -> w/z^2; points with
-    v(z) < 0 are never enumerated directly.  Each Z_l question is decided
-    by recursing on residue discs around roots of the reduced polynomial,
-    stripping even powers of l from the content as it goes.  Recursion
-    depth is capped at D = v_l(4*d1*d2*(c^2-4*d1*d2)) + 3 (two more at
-    l = 2); exceeding the cap raises rather than guessing.
+  * solvable_padic: a complete residue-recursion engine that answers
+    True or False.  A Q_l-point exists iff a Z_l-point (with v(z) >= 0)
+    exists on the form or on its reciprocal (d2, c, d1), the image of
+    z -> 1/z, w -> w/z^2; points with v(z) < 0 are never enumerated
+    directly.  Each Z_l question is decided by recursing on residue discs
+    around roots of the reduced polynomial, stripping even powers of l
+    from the content as it goes.  Recursion depth is capped at
+    D = v_l(4*d1*d2*(c^2-4*d1*d2)) + 3 (two more at l = 2); exceeding the
+    cap raises rather than guessing.
 
-    At odd l nothing walks all of F_l, so the cost is polynomial in log l:
-    the roots of the reduction g come from gcd(g, t^l - t), split by
-    Cantor-Zassenhaus; residues are tested with Euler's criterion; and the
-    walk for a first square unit value stops at the first non-square one
-    when g = c*h^2 mod l (every unit value then has the character of c),
-    while otherwise Weil's bound guarantees a square value once l >= 17.
-    At l = 2 units are recognized mod 8 by a walk over residues mod 8.
+    At odd l nothing walks all of F_l, so the cost is polynomial in log l.
+    Every reduction g the search meets is a quadratic in u = z^2 (an even
+    quartic) or in u = z (degree <= 2); see _as_quadratic for why.  So
+    its roots come from the quadratic formula and modular square roots
+    (Tonelli-Shanks), and g = c*h^2 mod l iff the discriminant vanishes.
+    Residues are tested with Euler's criterion, and the walk for a first
+    square unit value stops at the first non-square one when g = c*h^2
+    mod l (every unit value then has the character of c), while
+    otherwise Weil's bound guarantees a square value once l >= 17.  At
+    l = 2 units are recognized mod 8 by a walk over residues mod 8.
 
     solvable_at, the route the descent takes, asks solvable_padic once per
     class of the form over Q_l and caches the verdict (4096 entries).  For
@@ -48,9 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Optional, Union
 
 from .arith import _vl, is_prime
@@ -77,10 +80,6 @@ class QuarticForm:
     def reciprocal(self) -> "QuarticForm":
         return QuarticForm(self.d2, self.c, self.d1)
 
-    def value(self, z: Fraction) -> Fraction:
-        z2 = z * z
-        return self.d1 + self.c * z2 + self.d2 * z2 * z2
-
 
 @dataclass(frozen=True)
 class Place:
@@ -101,40 +100,6 @@ class Place:
 
 
 INFINITY = Place(None)
-
-
-@dataclass(frozen=True)
-class PointWitness:
-    """Exact rational point; on the reciprocal form iff on_reciprocal."""
-
-    z: Fraction
-    w: Fraction
-    on_reciprocal: bool = False
-
-
-@dataclass(frozen=True)
-class LiftTrace:
-    """Residue z0 mod l^modulus_exp whose exact value F(z0) is a Z_l square.
-
-    valuation is v_l(F(z0)) (even), unit the cofactor F(z0)/l^valuation;
-    for odd l the unit is a quadratic residue mod l, for l = 2 it is
-    1 mod 8, so w lifts by Hensel's lemma with z frozen at z0.
-    """
-
-    z0: int
-    modulus_exp: int
-    valuation: int
-    unit: int
-    on_reciprocal: bool = False
-
-
-@dataclass(frozen=True)
-class SolvabilityCertificate:
-    form: QuarticForm
-    place: Place
-    solvable: bool
-    witness: Union[PointWitness, LiftTrace, None]
-    route: str  # "direct", "reciprocal", or "none"
 
 
 class Verdict(Enum):
@@ -214,126 +179,81 @@ def _strip_even_content(f: Poly, l: int) -> tuple[Poly, int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_l, l an odd prime: residue lists, low degree first,
-# with no trailing zeros ([] is the zero polynomial)
+# roots over F_l, l an odd prime, of the reductions the Z_l search meets
 
 
-def _fl_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _sqrt_mod(a: int, l: int) -> Optional[int]:
+    """A square root of a mod the odd prime l, or None if a is not a square
+    mod l (Tonelli-Shanks; Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 1.5.1)."""
+    a %= l
+    if a == 0:
+        return 0
+    if pow(a, (l - 1) // 2, l) != 1:
+        return None
+    q, e = l - 1, 0  # l - 1 = 2^e * q with q odd
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    n = 2
+    while pow(n, (l - 1) // 2, l) == 1:
+        n += 1
+    y, r = pow(n, q, l), e  # y generates the 2-Sylow subgroup of F_l*
+    x = pow(a, (q - 1) // 2, l)
+    b, x = a * x * x % l, a * x % l  # x^2 = a*b, b in the 2-Sylow subgroup
+    while b != 1:
+        m, b2 = 1, b * b % l  # b has order 2^m, with m < r
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % l
+        t = pow(y, 1 << (r - m - 1), l)
+        y, r = t * t % l, m
+        x, b = x * t % l, b * y % l
+    return x
 
 
-def _fl_sub(f: list[int], g: list[int], l: int) -> list[int]:
-    n = max(len(f), len(g))
-    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
-    return _fl_trim([(a - b) % l for a, b in zip(f, g)])
+def _as_quadratic(g: list[int]) -> tuple[int, int, int, bool]:
+    """(A, B, C, even) with g = A*u^2 + B*u + C, where u = z^2 if even and
+    u = z otherwise, for g of degree 1 to 4 with no trailing zeros.
 
-
-def _fl_mul(f: list[int], g: list[int], l: int) -> list[int]:
-    if not f or not g:
-        return []
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            prod[i + j] += a * b
-    return [c % l for c in prod]
-
-
-def _fl_divmod(f: list[int], g: list[int], l: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by the nonzero g."""
-    rem = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, l)
-    quot = [0] * max(len(f) - dg, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + dg] * inv % l
-        quot[i] = c
-        for j in range(dg + 1):
-            rem[i + j] = (rem[i + j] - c * g[j]) % l
-    return quot, _fl_trim(rem[:dg])
-
-
-def _fl_mulmod(f: list[int], g: list[int], m: list[int], l: int) -> list[int]:
-    """f*g mod m, for m monic of degree >= 1."""
-    prod = _fl_mul(f, g, l)
-    dm = len(m) - 1
-    for i in range(len(prod) - 1, dm - 1, -1):
-        c = prod[i] % l
-        if c:
-            for j in range(dm):
-                prod[i - dm + j] -= c * m[j]
-    return _fl_trim([c % l for c in prod[:dm]])
-
-
-def _fl_powmod(f: list[int], n: int, m: list[int], l: int) -> list[int]:
-    """f^n mod m by square-and-multiply, for m monic of degree >= 1."""
-    result = [1]
-    base = _fl_mulmod(f, [1], m, l)
-    while n:
-        if n & 1:
-            result = _fl_mulmod(result, base, m, l)
-        base = _fl_mulmod(base, base, m, l)
-        n >>= 1
-    return result
-
-
-def _fl_monic(f: list[int], l: int) -> list[int]:
-    inv = pow(f[-1], -1, l)
-    return [c * inv % l for c in f]
-
-
-def _fl_gcd(f: list[int], g: list[int], l: int) -> list[int]:
-    """Monic gcd of f and g, not both zero."""
-    while g:
-        f, g = g, _fl_divmod(f, g, l)[1]
-    return _fl_monic(f, l)
+    Every reduction g that _zl_search_odd meets has one of these shapes:
+    it is even of degree <= 4 or of degree <= 2.  The forms are even, and
+    a shift at the root 0 keeps them even.  After a shift at a root t0 of
+    multiplicity m, the next reduction has degree <= m: in f(t0 + l*s),
+    coefficient i has valuation >= e + i + v(b_i), where l^e is the
+    content of f and b_i the i-th Taylor coefficient of f/l^e at t0, and
+    for every i > m that is more than e + m, the valuation of coefficient
+    m.  A nonzero root t0 of an even g = h(z^2) has the multiplicity of
+    t0^2 in h, which is <= 2, because z + t0 is a unit for odd l; a root
+    of a g of degree <= 2 has multiplicity <= 2.  Any other shape is an
+    engine bug and raises AssertionError.
+    """
+    if len(g) <= 3:
+        C, B, A = g + [0] * (3 - len(g))
+        return A, B, C, False
+    if len(g) == 5 and g[1] == g[3] == 0:
+        return g[4], g[2], g[0], True
+    raise AssertionError(f"reduction {g} is neither even of degree <= 4 nor of degree <= 2")
 
 
 def _fl_roots(g: list[int], l: int) -> list[int]:
-    """The distinct roots in F_l of g, of degree >= 1, ascending.
-
-    gcd(g, t^l - t) is the product of t - r over the roots r; Cantor-
-    Zassenhaus splits it.
-    """
-    g, t = _fl_monic(g, l), [0, 1]
-    return sorted(_fl_split(_fl_gcd(g, _fl_sub(_fl_powmod(t, l, g, l), t, l), l), l))
-
-
-def _fl_split(h: list[int], l: int) -> list[int]:
-    """Roots of the monic h, a product of distinct linear factors.
-
-    gcd(h, (t + delta)^((l-1)/2) - 1) keeps the roots r with r + delta a
-    nonzero square.  For two distinct roots some delta < l makes one of
-    r1 + delta, r2 + delta a square and the other not (otherwise the
-    squares would be closed under adding r2 - r1), so the loop splits h.
-    """
-    if len(h) == 1:
-        return []
-    if len(h) == 2:
-        return [-h[0] % l]
-    for delta in range(l):
-        k = _fl_gcd(h, _fl_sub(_fl_powmod([delta, 1], (l - 1) // 2, h, l), [1], l), l)
-        if 1 < len(k) < len(h):
-            return _fl_split(k, l) + _fl_split(_fl_divmod(h, k, l)[0], l)
-    raise AssertionError("no shift splits a product of distinct linear factors")
+    """The distinct roots in F_l of g, ascending: the roots u of the
+    quadratic A*u^2 + B*u + C, and for u = z^2 their square roots."""
+    A, B, C, even = _as_quadratic(g)
+    if A == 0:
+        us = [-C * pow(B, -1, l) % l]
+    else:
+        s = _sqrt_mod(B * B - 4 * A * C, l)
+        inv = pow(2 * A, -1, l)
+        us = [] if s is None else [(-B + s) * inv % l, (-B - s) * inv % l]
+    if not even:
+        return sorted(set(us))
+    square_roots = (_sqrt_mod(u, l) for u in us)
+    return sorted({z for r in square_roots if r is not None for z in (r, -r % l)})
 
 
 def _fl_is_scaled_square(g: list[int], l: int) -> bool:
-    """True iff g = c*h^2 over F_l for a constant c (g nonzero)."""
-    n = len(g) - 1
-    if n % 2:
-        return False
-    m = n // 2
-    monic = _fl_monic(g, l)
-    # the coefficient of t^(m+j) in h^2 is 2*h_j plus terms in h_(j+1..m),
-    # so the top half of the monic g fixes the only monic candidate h
-    h = [0] * m + [1]
-    half = (l + 1) // 2
-    for j in range(m - 1, -1, -1):
-        rest = sum(h[i] * h[m + j - i] for i in range(j + 1, m))
-        h[j] = (monic[m + j] - rest) * half % l
-    return _fl_mul(h, h, l) == monic
+    """True iff g = c*h^2 over F_l for a constant c (g of degree >= 1)."""
+    A, B, C, _ = _as_quadratic(g)
+    return (B * B - 4 * A * C) % l == 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +271,9 @@ def _zl_search_odd(f: Poly, l: int, budget: int) -> Optional[int]:
     """
     f, e = _strip_even_content(f, l)
     unit_part = f if e == 0 else tuple(c // l for c in f)
-    gmod = _fl_trim([c % l for c in unit_part])
+    gmod = [c % l for c in unit_part]
+    while gmod and gmod[-1] == 0:
+        gmod.pop()
     if not gmod:
         raise AssertionError("primitive polynomial reduced to zero mod l")
     if len(gmod) == 1:
@@ -412,46 +334,21 @@ def _form_poly(q: QuarticForm) -> Poly:
     return (q.d1, 0, q.c, 0, q.d2)
 
 
-def _certificate(q: QuarticForm, l: int, z0: int, on_reciprocal: bool, depth_used: int):
-    """Build the strongest witness available for the found residue."""
-    poly_form = q.reciprocal() if on_reciprocal else q
-    n = _poly_eval(_form_poly(poly_form), z0)
-    root = isqrt(n) if n >= 0 else -1
-    if n >= 0 and root * root == n:
-        z = Fraction(z0)
-        w = Fraction(root)
-        if on_reciprocal and z0 != 0:
-            # convert back to the direct form: z -> 1/z, w -> w/z^2
-            return PointWitness(z=1 / z, w=w / (z * z), on_reciprocal=False)
-        return PointWitness(z=z, w=w, on_reciprocal=on_reciprocal)
-    v = _vl(n, l)
-    unit = n // l**v
-    return LiftTrace(
-        z0=z0,
-        modulus_exp=depth_used,
-        valuation=v,
-        unit=unit,
-        on_reciprocal=on_reciprocal,
-    )
+def solvable_padic(q: QuarticForm, l: int) -> bool:
+    """Whether w^2 = d1 + c*z^2 + d2*z^4 has a point over Q_l: whether the
+    Z_l search of the form or of its reciprocal finds a z0.
 
-
-def solvable_padic(q: QuarticForm, l: int) -> SolvabilityCertificate:
-    """Decide whether w^2 = d1 + c*z^2 + d2*z^4 has a point over Q_l.
-
-    Raises ValueError unless l is prime; building the Place checks it.
+    Raises ValueError unless l is prime.
     """
-    place = Place(l)
+    if not is_prime(l):
+        raise ValueError(f"solvable_padic requires a prime, got {l}")
     cap = _depth_cap(q, l)
-    for route, form in (("direct", q), ("reciprocal", q.reciprocal())):
+    for form in (q, q.reciprocal()):
         poly = _form_poly(form)
-        if l == 2:
-            z0 = _zl_search_two(poly, cap)
-        else:
-            z0 = _zl_search_odd(poly, l, cap)
+        z0 = _zl_search_two(poly, cap) if l == 2 else _zl_search_odd(poly, l, cap)
         if z0 is not None:
-            witness = _certificate(q, l, z0, route == "reciprocal", cap)
-            return SolvabilityCertificate(q, place, True, witness, route)
-    return SolvabilityCertificate(q, place, False, None, "none")
+            return True
+    return False
 
 
 def _power_class(n: int, l: int, k: int) -> tuple[int, int]:
@@ -489,7 +386,7 @@ def _question(q: QuarticForm, l: int) -> _PadicQuestion:
 
 @lru_cache(maxsize=4096)
 def _padic_verdict(question: _PadicQuestion) -> bool:
-    return solvable_padic(question.form, question.l).solvable
+    return solvable_padic(question.form, question.l)
 
 
 def solvable_at(q: QuarticForm, place: Place) -> bool:
@@ -505,7 +402,7 @@ def solvable_everywhere_locally(q: QuarticForm, places: Iterable[Place]) -> bool
 
     Short-circuits on the first failing place; places are visited in a
     canonical order (infinity first, then ascending primes) so the result
-    and any certificates are reproducible.
+    is reproducible.
     """
     ordered = sorted(places, key=lambda pl: (-1 if pl.prime is None else pl.prime))
     if not ordered:

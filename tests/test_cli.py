@@ -168,6 +168,26 @@ class TestMainExitCodes:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["rank", "--p", "3317044064679887385961983"], b"past the range of the primality test"),
+            (["rank", "--p", "x"], b"'x' is not an integer"),
+            (["scan", "--max", "x"], b"'x' is not an integer"),
+            (["scan", "--max", "10", "--jobs", "x"], b"'x' is not an integer"),
+            (["scan", "--max", "10", "--height-bound", "x"], b"'x' is not an integer"),
+            (["descent", "--a", "x", "--b", "1"], b"'x' is not an integer"),
+            (["scan", "--max", "0"], b"expected a positive integer, got 0"),
+        ],
+        ids=["p-past-primality-range", "p", "max", "jobs", "height-bound", "a", "max-zero"],
+    )
+    def test_bad_argument_message(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.encode()
+        assert message in err and b"_arg" not in err, err
+
+    @pytest.mark.parametrize(
         "a,b",
         [(0, 0), (2, 1), (0, 1000036000099)],
         ids=["b-zero", "singular", "b-outside-factoring-range"],

@@ -145,7 +145,7 @@ def reference_selmer(E, which):
     places = bad_places(E)
 
     def everywhere(q):
-        return all(solvable_real(q) if pl.is_infinite else solvable_padic(q, pl.prime).solvable for pl in places)
+        return all(solvable_real(q) if pl.is_infinite else solvable_padic(q, pl.prime) for pl in places)
 
     return frozenset(b1 for b1 in divisor_classes(curve.b) if everywhere(QuarticForm(b1, curve.a, curve.b // b1)))
 
