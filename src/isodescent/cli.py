@@ -29,8 +29,6 @@ from typing import Optional
 from .arith import IS_PRIME_LIMIT, is_prime, primes_up_to
 from .descent import PSI, PSIBAR, CurveModel, RankBounds, bad_places, rank_bounds, selmer
 from .family import (
-    KIND_3P,
-    KIND_P,
     classify,
     closed_form_selmer_psi,
     closed_form_selmer_psibar,
@@ -138,21 +136,15 @@ def _build_parser() -> argparse.ArgumentParser:
         if height:
             sp.add_argument("--height-bound", type=_positive_arg, default=2000)
 
-    sp = sub.add_parser("classify", help="residue class, quartic character, rank ceiling")
-    sp.add_argument("--p", type=_prime_arg, required=True)
-    add_common(sp, height=False)
-
-    sp = sub.add_parser("selmer", help="closed-form and engine Selmer groups")
-    sp.add_argument("--p", type=_prime_arg, required=True)
-    add_common(sp, height=False)
-
-    sp = sub.add_parser("rank", help="rank bounds with proposition statements")
-    sp.add_argument("--p", type=_prime_arg, required=True)
-    add_common(sp)
-
-    sp = sub.add_parser("repr", help="fourth-power representations of 3p and p")
-    sp.add_argument("--p", type=_prime_arg, required=True)
-    add_common(sp, height=False)
+    for command, summary in (
+        ("classify", "residue class, quartic character, rank ceiling"),
+        ("selmer", "closed-form and engine Selmer groups"),
+        ("rank", "rank bounds with proposition statements"),
+        ("repr", "fourth-power representations of 3p and p"),
+    ):
+        sp = sub.add_parser(command, help=summary)
+        sp.add_argument("--p", type=_prime_arg, required=True)
+        add_common(sp, height=command == "rank")
 
     sp = sub.add_parser("scan", help="full report for every prime up to --max")
     sp.add_argument("--max", dest="range_max", type=_positive_arg, required=True)
@@ -243,7 +235,6 @@ def _repr_record(p: int) -> OutputRecord:
 def _report_record(p: int, height_bound: int, columns: tuple[str, ...]) -> OutputRecord:
     """Project verify_prime's report for p onto columns (rank's or scan's)."""
     report = verify_prime(p, height_bound)
-    by_kind = {w.kind: w for w in report.witnesses}
     bar, psi = report.engine_psibar.classes, report.engine_psi.classes
     cells = {
         **_class_cells(report.prime_class),
@@ -254,7 +245,7 @@ def _report_record(p: int, height_bound: int, columns: tuple[str, ...]) -> Outpu
         "selmer_psi": _classes_numeric(psi),
         "selmer_psibar_symbolic": _classes_symbolic(bar, p),
         "selmer_psi_symbolic": _classes_symbolic(psi, p),
-        **_repr_cells(by_kind.get(KIND_3P), by_kind.get(KIND_P)),
+        **_repr_cells(report.repr_3p, report.repr_p),
         "consistent": report.consistent,
     }
     return {k: cells[k] for k in columns}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .arith import _factorization, class_product, factorize, squarefree_class
 from .local import (
@@ -93,8 +93,6 @@ class HomSpacePoint:
 @dataclass(frozen=True)
 class SelmerGroup:
     classes: frozenset[int]
-    bad_places: frozenset[Place]
-    which: str
 
     @property
     def dim(self) -> int:
@@ -178,7 +176,7 @@ def dual_curve(E: CurveModel) -> CurveModel:
 @lru_cache(maxsize=4096)
 def bad_places(E: CurveModel) -> frozenset[Place]:
     """Infinity together with every prime dividing 2*b*bbar; computed once
-    per curve, since both Selmer groups and the closed forms ask for it."""
+    per curve, since both Selmer groups ask for it."""
     bbar = dual_curve(E).b
     primes = {2} | {p for p, _ in _factorization(abs(E.b)) + _factorization(abs(bbar))}
     return frozenset({INFINITY} | {Place(p) for p in primes})
@@ -248,7 +246,7 @@ def selmer(E: CurveModel, which: str) -> SelmerGroup:
             raise InternalConsistencyError(
                 f"Selmer set {sorted(classes)} is not closed: {u}*{v} escapes"
             )
-    return SelmerGroup(classes, places, which)
+    return SelmerGroup(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +278,8 @@ def _square_masks(q: int, b1: int, a: int, d2: int) -> tuple[int, ...]:
 
 
 def _search_class(
-    curve: CurveModel, b1: int, height_bound: int, first_only: bool
-) -> list[tuple[int, int, int]]:
+    curve: CurveModel, b1: int, height_bound: int
+) -> Iterator[tuple[int, int, int]]:
     """Primitive hits (m, e, w_num) with w^2 = b1 + a*z^2 + (b/b1)*z^4 at
     z = m/e, gcd(m, e) = 1, 1 <= m, e and max(m, e) <= height_bound.
 
@@ -294,10 +292,9 @@ def _search_class(
     visited in rings of increasing max(block of m, block of e), so memory
     does not grow with the height bound.
 
-    With first_only the search stops at the first hit, which lies in the
-    innermost ring of blocks holding one but need not be the smallest
-    point; whether a hit exists within the bound does not depend on it.
-    Without first_only the hits come in no particular order.
+    The hits are yielded in ring order: the first lies in the innermost
+    ring of blocks holding one, but need not be the smallest point.  A
+    caller that takes only the first hit stops the search there.
     """
     a, d2 = curve.a, curve.b // b1
     width = min(_BLOCK_BITS, height_bound)
@@ -307,7 +304,6 @@ def _search_class(
     for q in _SIEVE_MODULI:
         repeat = ((1 << (width // q + 2) * q) - 1) // ((1 << q) - 1)  # 1 every q bits
         periodic.append((q, [mask * repeat for mask in _square_masks(q, b1 % q, a % q, d2 % q)]))
-    hits: list[tuple[int, int, int]] = []
     for ring in range(-(-height_bound // width)):
         # the blocks (i, j) of m and e with max(i, j) = ring
         outer = itertools.chain(((ring, j) for j in range(ring + 1)), ((i, ring) for i in range(ring)))
@@ -335,25 +331,22 @@ def _search_class(
                     r = isqrt(n)
                     if r * r != n:
                         continue
-                    hits.append((m, e, r))
-                    if first_only:
-                        return hits
-    return hits
+                    yield m, e, r
 
 
 def search_homspace_points(E: CurveModel, b1: int, height_bound: int) -> list[HomSpacePoint]:
     """All rational points z = m/e, max(|m|, e) <= height_bound, on the b1
     space of E, with both signs of z and w emitted.
 
-    Every hit of the sieve is kept and the hits are sorted, so the list
-    does not depend on the order in which the sieve meets them.
+    The search is drained and its hits are sorted, so the list does not
+    depend on the ring order in which the sieve yields them.
     """
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
     if b1 not in divisor_classes(E.b):
         raise ValueError(f"{b1} is not a divisor class of b = {E.b}")
     points: list[HomSpacePoint] = []
-    for m, e, wn in sorted(_search_class(E, b1, height_bound, first_only=False)):
+    for m, e, wn in sorted(_search_class(E, b1, height_bound)):
         z = Fraction(m, e)
         w = Fraction(wn, e * e)
         for zs in (z, -z):
@@ -378,8 +371,9 @@ def alpha_image(E: CurveModel, which: str, height_bound: int) -> frozenset[int]:
     together with every Selmer class whose space yields a rational point
     within the height bound.  Monotone nondecreasing in the bound.
 
-    Each class asks _search_class for its first hit only; which point that
-    is does not matter, only whether the bound holds one.
+    Each class takes the first hit _search_class yields and stops the
+    search there.  That hit is the first in ring order, not necessarily
+    the smallest point; only whether the bound holds one matters.
     """
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
@@ -389,7 +383,7 @@ def alpha_image(E: CurveModel, which: str, height_bound: int) -> frozenset[int]:
     for b1 in sorted(sel.classes):
         if b1 in generated:
             continue
-        if _search_class(curve, b1, height_bound, first_only=True):
+        if next(_search_class(curve, b1, height_bound), None) is not None:
             generated = _closure(generated | {b1})
     if not generated <= sel.classes:
         raise InternalConsistencyError("alpha image escaped its Selmer group")

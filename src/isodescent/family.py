@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Optional
 
-from .arith import is_prime, quartic_symbol, squarefree_class
+from .arith import _iroot, is_prime, quartic_symbol, squarefree_class
 from .descent import (
     PSI,
     PSIBAR,
@@ -27,7 +27,6 @@ from .descent import (
     HomSpacePoint,
     RankBounds,
     SelmerGroup,
-    bad_places,
     on_curve,
     rank_bounds,
     selmer,
@@ -52,10 +51,6 @@ class ReprWitness:
     kind: str
     a: int
     b: int
-
-    @property
-    def k(self) -> int:
-        return 2 if self.kind == KIND_3P else 18
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,8 @@ class FamilyReport:
     engine_psibar: SelmerGroup
     engine_psi: SelmerGroup
     theorem_bound: RankStatement
-    witnesses: tuple[ReprWitness, ...]
+    repr_3p: Optional[ReprWitness]  # find_repr(3p, 2)
+    repr_p: Optional[ReprWitness]  # find_repr(p, 18)
     proposition: Optional[PropositionRank]
     rank_bounds: RankBounds
     consistent: bool
@@ -161,7 +157,7 @@ def _closed_psibar(cls: PrimeClass) -> SelmerGroup:
         members = [1, 2, p, 2 * p]
     else:  # p = 7 mod 24
         members = [1, 2]
-    return SelmerGroup(frozenset(members), bad_places(_curve(p)), PSIBAR)
+    return SelmerGroup(frozenset(members))
 
 
 def closed_form_selmer_psi(p: int) -> SelmerGroup:
@@ -177,7 +173,7 @@ def _closed_psi(cls: PrimeClass) -> SelmerGroup:
         members = [1, -2, -p, 2 * p]
     else:
         members = [1, -2]
-    return SelmerGroup(frozenset(members), bad_places(_curve(p)), PSI)
+    return SelmerGroup(frozenset(members))
 
 
 def theorem_bound(p: int) -> RankStatement:
@@ -211,20 +207,10 @@ def find_repr(n: int, k: int) -> Optional[ReprWitness]:
         rem = n - a**4
         if rem % k == 0:
             q = rem // k
-            b = _fourth_root(q)
-            if b is not None and b >= 1:
+            b = _iroot(q, 4)
+            if b >= 1 and b**4 == q:
                 return ReprWitness(kind, a, b)
         a += 1
-    return None
-
-
-def _fourth_root(n: int) -> Optional[int]:
-    if n < 1:
-        return None
-    r = isqrt(isqrt(n))
-    for cand in (r, r + 1):
-        if cand**4 == n:
-            return cand
     return None
 
 
@@ -315,7 +301,8 @@ def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
         engine_psibar=engine_bar,
         engine_psi=engine_psi,
         theorem_bound=bound_stmt,
-        witnesses=tuple(w for w in (w3p, wp) if w is not None),
+        repr_3p=w3p,
+        repr_p=wp,
         proposition=prop,
         rank_bounds=bounds,
         consistent=consistent,

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -282,8 +283,8 @@ def walk_search_class(curve, b1, height_bound, first_only):
 def _assert_sieve_matches_walk(curve, height_bound):
     for b1 in divisor_classes(curve.b):
         want = sorted(walk_search_class(curve, b1, height_bound, first_only=False))
-        assert sorted(descent._search_class(curve, b1, height_bound, first_only=False)) == want, b1
-        first = descent._search_class(curve, b1, height_bound, first_only=True)
+        assert sorted(descent._search_class(curve, b1, height_bound)) == want, b1
+        first = list(itertools.islice(descent._search_class(curve, b1, height_bound), 1))
         assert len(first) == min(len(want), 1), b1
         assert set(first) <= set(want), b1
 
@@ -334,7 +335,7 @@ class TestSearchSieve:
             assert corner + (W * W + 2 * W + 2,) in strip
             inner = []
             for height in (W - 1, W, W + 1):
-                got = set(descent._search_class(curve, b1, height, first_only=False))
+                got = set(descent._search_class(curve, b1, height))
                 assert {h for h in got if max(h[:2]) >= lo} == {h for h in strip if max(h[:2]) <= height}
                 inner.append({h for h in got if max(h[:2]) < lo})
             assert inner[0] == inner[1] == inner[2]
@@ -346,7 +347,7 @@ class TestSearchSieve:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            hits = descent._search_class(EBIG, P_BIG, 10**9, first_only=True)
+            hits = list(itertools.islice(descent._search_class(EBIG, P_BIG, 10**9), 1))
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -462,6 +463,16 @@ class TestAlphaImage:
         for E in (E5, E11, E23):
             for which in (PSIBAR, PSI):
                 assert alpha_image(E, which, 30) <= selmer(E, which).classes
+
+    @pytest.mark.parametrize("p", [P_BIG, 1217])
+    def test_takes_one_hit_per_class(self, p):
+        # at height 10^9 a drained search would never return; the first
+        # hit of each class ends its search
+        E = CurveModel(0, 18 * p * p)
+        start = time.perf_counter()
+        image = alpha_image(E, PSIBAR, 10**9)
+        assert time.perf_counter() - start < 5
+        assert image == selmer(E, PSIBAR).classes
 
 
 class TestRankBounds:

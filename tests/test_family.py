@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -148,6 +149,17 @@ class TestFindRepr:
         with pytest.raises(ValueError):
             find_repr(100, 3)
 
+    @pytest.mark.parametrize("k,kind", [(2, KIND_3P), (18, KIND_P)])
+    def test_against_brute_double_loop(self, k, kind):
+        # every a, b <= 60 with a^4 + k*b^4 = n, since 60^4 > 19 * 25^4 + 1
+        brute = {}
+        for a, b in product(range(1, 61), repeat=2):
+            brute.setdefault(a**4 + k * b**4, ReprWitness(kind, a, b))
+        targets = {a**4 + k * b**4 + d for a, b in product(range(1, 26), repeat=2) for d in (-1, 0, 1)}
+        for n in sorted(targets):
+            assert find_repr(n, k) == brute.get(n), n
+        assert any(n not in brute for n in targets)
+
 
 class TestWitnessHomspacePoint:
     def test_kind_p(self):
@@ -268,9 +280,26 @@ class TestVerifyPrime:
         bad_places.cache_clear()
         selmer.cache_clear()
         verify_prime(1217, 10)
-        # both Selmer groups and both closed forms ask for them
+        # both Selmer groups ask for them
         assert bad_places.cache_info().misses == 1
-        assert bad_places.cache_info().hits >= 3
+        assert bad_places.cache_info().hits >= 1
+
+    def test_closed_forms_factor_nothing(self, monkeypatch):
+        import isodescent.arith as arith_mod
+
+        calls = []
+
+        def counting_factorize(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(arith_mod, "factorize", counting_factorize)
+        arith_mod._factorization.cache_clear()
+        bad_places.cache_clear()
+        for p in (7, 1217, 1043113):
+            closed_form_selmer_psibar(p)
+            closed_form_selmer_psi(p)
+        assert calls == []
 
     def test_dimension_dichotomy(self):
         for p in primes_up_to(200):
