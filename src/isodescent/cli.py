@@ -18,13 +18,11 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import IS_PRIME_LIMIT, is_prime, primes_up_to
 from .descent import PSI, PSIBAR, CurveModel, RankBounds, bad_places, rank_bounds, selmer
@@ -43,8 +41,7 @@ SPEC_VERSION = 1
 OutputRecord = dict
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     p: Optional[int] = None
     range_max: Optional[int] = None
@@ -58,7 +55,7 @@ class RunConfig:
 
 # column runs shared between commands
 _CLASS = ("spec_version", "p", "mod24", "quartic2")
-_BOUNDS = tuple(f.name for f in fields(RankBounds))
+_BOUNDS = RankBounds._fields
 _RANK_HEAD = (*_CLASS, *_BOUNDS, "theorem_bound", "proposition")
 _SELMER_CLASSES = ("selmer_psibar", "selmer_psi", "selmer_psibar_symbolic", "selmer_psi_symbolic")
 _REPR = ("repr_3p_a", "repr_3p_b", "repr_p_a", "repr_p_b")
@@ -238,7 +235,7 @@ def _report_record(p: int, height_bound: int, columns: tuple[str, ...]) -> Outpu
     bar, psi = report.engine_psibar.classes, report.engine_psi.classes
     cells = {
         **_class_cells(report.prime_class),
-        **asdict(report.rank_bounds),
+        **report.rank_bounds._asdict(),
         "theorem_bound": str(report.theorem_bound),
         "proposition": str(report.proposition) if report.proposition else "",
         "selmer_psibar": _classes_numeric(bar),
@@ -256,6 +253,8 @@ def _map_primes(fn, primes: list[int], jobs: int) -> list[OutputRecord]:
     jobs = min(jobs, os.cpu_count() or 1, len(primes))
     if jobs <= 1:
         return [fn(p) for p in primes]
+    import multiprocessing
+
     with multiprocessing.Pool(jobs) as pool:
         return pool.map(fn, primes)
 
@@ -280,7 +279,7 @@ def execute(config: RunConfig) -> tuple[list[OutputRecord], int]:
         records = _map_primes(project, primes, config.parallelism)
     elif command == "descent":
         bounds = rank_bounds(CurveModel(config.a, config.b), config.height_bound)
-        records = [{"spec_version": SPEC_VERSION, "a": config.a, "b": config.b, **asdict(bounds)}]
+        records = [{"spec_version": SPEC_VERSION, "a": config.a, "b": config.b, **bounds._asdict()}]
     else:
         raise ValueError(f"unknown command {command!r}")
     bad = any(r.get("consistent") is False for r in records)

@@ -18,11 +18,10 @@ rational arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .arith import _factorization, class_product, factorize, squarefree_class
 from .local import (
@@ -43,22 +42,20 @@ class InternalConsistencyError(RuntimeError):
     """A computed Selmer set failed subgroup closure (local engine bug)."""
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(NamedTuple("CurveModel", [("a", int), ("b", int)])):
     """y^2 = x^3 + a*x^2 + b*x, nonsingular."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.b == 0:
+    def __new__(cls, a: int, b: int) -> "CurveModel":
+        if b == 0:
             raise ValueError("curve requires b != 0")
-        if self.a * self.a == 4 * self.b:
+        if a * a == 4 * b:
             raise ValueError("singular curve: a^2 = 4b")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """The identity, or an affine rational point."""
 
     x: Optional[Fraction]
@@ -77,21 +74,20 @@ class CurvePoint:
         return self.x is None
 
 
-@dataclass(frozen=True)
-class HomSpacePoint:
+class HomSpacePoint(
+    NamedTuple("HomSpacePoint", [("b1", int), ("z", Fraction), ("w", Fraction)])
+):
     """Rational point (z, w) on w^2 = b1 + a*z^2 + (b/b1)*z^4, z != 0."""
 
-    b1: int
-    z: Fraction
-    w: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.z == 0:
+    def __new__(cls, b1: int, z: Fraction, w: Fraction) -> "HomSpacePoint":
+        if z == 0:
             raise ValueError("homogeneous space point requires z != 0")
+        return super().__new__(cls, b1, z, w)
 
 
-@dataclass(frozen=True)
-class SelmerGroup:
+class SelmerGroup(NamedTuple):
     classes: frozenset[int]
 
     @property
@@ -105,8 +101,7 @@ class SelmerGroup:
         return sorted(self.classes)
 
 
-@dataclass(frozen=True)
-class RankBounds:
+class RankBounds(NamedTuple):
     dim_selmer_psibar: int
     dim_selmer_psi: int
     dim_im_alpha: int

@@ -13,10 +13,9 @@ reports (rather than assumes) their agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import _iroot, is_prime, quartic_symbol, squarefree_class
 from .descent import (
@@ -39,22 +38,19 @@ TO_REDUCED = "to_reduced"  # (X, Y) on Y^2 = 3X^3 + 6p^2X  ->  (3X, 3Y)
 FROM_REDUCED = "from_reduced"
 
 
-@dataclass(frozen=True)
-class PrimeClass:
+class PrimeClass(NamedTuple):
     p: int
     residue_mod_24: int
     quartic2: Optional[int]  # (2/p)_4, defined iff p = 1 mod 8
 
 
-@dataclass(frozen=True)
-class ReprWitness:
+class ReprWitness(NamedTuple):
     kind: str
     a: int
     b: int
 
 
-@dataclass(frozen=True)
-class RankStatement:
+class RankStatement(NamedTuple):
     """A rank assertion: exact value or a ceiling."""
 
     ceiling: int
@@ -64,8 +60,7 @@ class RankStatement:
         return f"exact {self.ceiling}" if self.exact else f"<={self.ceiling}"
 
 
-@dataclass(frozen=True)
-class PropositionRank:
+class PropositionRank(NamedTuple):
     """Outcome of the representation-based rank criteria."""
 
     kind: str  # "exact" or "at_least"
@@ -77,8 +72,7 @@ class PropositionRank:
         return f"rank {op} {self.value}"
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     prime_class: PrimeClass
     closed_psibar: SelmerGroup
     closed_psi: SelmerGroup

@@ -50,11 +50,10 @@ point.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 from .arith import _vl, is_prime
 
@@ -63,33 +62,31 @@ class LocalEngineError(RuntimeError):
     """Residue recursion exceeded its proven depth cap (engine bug)."""
 
 
-@dataclass(frozen=True)
-class QuarticForm:
+class QuarticForm(NamedTuple("QuarticForm", [("d1", int), ("c", int), ("d2", int)])):
     """The curve w^2 = d1 + c*z^2 + d2*z^4 with nonzero discriminant."""
 
-    d1: int
-    c: int
-    d2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d1 == 0 or self.d2 == 0:
+    def __new__(cls, d1: int, c: int, d2: int) -> "QuarticForm":
+        if d1 == 0 or d2 == 0:
             raise ValueError("quartic form requires d1 != 0 and d2 != 0")
-        if self.c * self.c == 4 * self.d1 * self.d2:
+        if c * c == 4 * d1 * d2:
             raise ValueError("degenerate quartic form: c^2 = 4*d1*d2")
+        return super().__new__(cls, d1, c, d2)
 
     def reciprocal(self) -> "QuarticForm":
         return QuarticForm(self.d2, self.c, self.d1)
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple("Place", [("prime", Optional[int])])):
     """A place of Q: a finite prime, or None for the real place."""
 
-    prime: Optional[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.prime is not None and not is_prime(self.prime):
-            raise ValueError(f"finite place must be prime, got {self.prime}")
+    def __new__(cls, prime: Optional[int]) -> "Place":
+        if prime is not None and not is_prime(prime):
+            raise ValueError(f"finite place must be prime, got {prime}")
+        return super().__new__(cls, prime)
 
     @property
     def is_infinite(self) -> bool:
@@ -363,30 +360,35 @@ def _power_class(n: int, l: int, k: int) -> tuple[int, int]:
     return v % k, pow(unit % l, (l - 1) // gcd(k, l - 1), l)
 
 
-@dataclass(frozen=True, slots=True)
 class _PadicQuestion:
-    """One Q_l question, keyed by l, c, the class of d1 in Q_l*/Q_l*^2 and
-    d1*d2: exactly when c != 0, by its class in Q_l*/Q_l*^4 when c = 0.
+    """One Q_l question, keyed by (l, c, class of d1 in Q_l*/Q_l*^2, d1*d2):
+    d1*d2 exactly when c != 0, by its class in Q_l*/Q_l*^4 when c = 0.
     These fix the form up to isomorphism over Q_l (see the module
     docstring).  The form is the representative that gets decided and
     takes no part in equality or hashing."""
 
-    l: int
-    c: int
-    d1_class: tuple[int, int]
-    d1d2_class: Union[int, tuple[int, int]]
-    form: QuarticForm = field(compare=False)
+    __slots__ = ("key", "form")
+
+    def __init__(self, key: tuple, form: QuarticForm) -> None:
+        self.key = key
+        self.form = form
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _PadicQuestion) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
 
 def _question(q: QuarticForm, l: int) -> _PadicQuestion:
     d1d2 = q.d1 * q.d2
     d1d2_class = _power_class(d1d2, l, 4) if q.c == 0 else d1d2
-    return _PadicQuestion(l, q.c, _power_class(q.d1, l, 2), d1d2_class, q)
+    return _PadicQuestion((l, q.c, _power_class(q.d1, l, 2), d1d2_class), q)
 
 
 @lru_cache(maxsize=4096)
 def _padic_verdict(question: _PadicQuestion) -> bool:
-    return solvable_padic(question.form, question.l)
+    return solvable_padic(question.form, question.key[0])
 
 
 def solvable_at(q: QuarticForm, place: Place) -> bool:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -271,7 +272,7 @@ class TestPoolClamp:
     def test_processes_capped_by_cores_and_primes(self, monkeypatch, cpus, range_max, expected):
         import isodescent.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(FakePool, "sizes", [])
         config = RunConfig(command="scan", range_max=range_max, height_bound=5, parallelism=64)
@@ -280,13 +281,29 @@ class TestPoolClamp:
         assert FakePool.sizes == expected
 
     def test_rank_runs_in_process(self, monkeypatch):
-        import isodescent.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(FakePool, "sizes", [])
         records, _ = execute(RunConfig(command="rank", p=7, height_bound=5, parallelism=64))
         assert [r["p"] for r in records] == [7]
         assert FakePool.sizes == []
+
+
+class TestImports:
+    def test_cli_loads_no_dataclasses_or_multiprocessing(self):
+        # a process that runs no pool needs neither module; both cost start-up time
+        script = (
+            "import sys\n"
+            "import isodescent.cli as cli\n"
+            "unused = ('dataclasses', 'multiprocessing')\n"
+            "loaded = [[m for m in unused if m in sys.modules]]\n"
+            "cli.main(['rank', '--p', '7', '--height-bound', '5', '--format', 'json'])\n"
+            "loaded.append([m for m in unused if m in sys.modules])\n"
+            "print(loaded, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)[0]["p"] == 7
+        assert proc.stderr.decode().strip() == "[[], []]"
 
 
 class TestScanDeterminism:

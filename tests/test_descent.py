@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 import time
 import tracemalloc
 from collections import Counter
@@ -8,6 +9,7 @@ from math import gcd, isqrt
 from unittest import mock
 
 import pytest
+from conftest import deadline
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +46,9 @@ E23 = CurveModel(0, 18 * 529)
 E73 = CurveModel(0, 18 * 73**2)
 P_BIG = 19249
 EBIG = CurveModel(0, 18 * P_BIG**2)
+# a search at height 10^9 that fails to stop at its first hit would never
+# return; past this many seconds it raises TimeoutError in its test instead
+SEARCH_DEADLINE_S = 10
 
 
 def _alpha_class(P: CurvePoint, b: int) -> int:
@@ -53,6 +58,22 @@ def _alpha_class(P: CurvePoint, b: int) -> int:
     if P.x == 0:
         return squarefree_class(b)
     return squarefree_class(P.x.numerator * P.x.denominator)
+
+
+class TestDeadline:
+    def test_fires_inside_the_block(self):
+        start = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            with deadline(0.05):
+                time.sleep(5)
+        assert time.perf_counter() - start < 1
+
+    def test_disarmed_after_the_block(self):
+        handler = signal.getsignal(signal.SIGALRM)
+        with deadline(5):
+            pass
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) is handler
 
 
 class TestCurveModel:
@@ -347,7 +368,8 @@ class TestSearchSieve:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            hits = list(itertools.islice(descent._search_class(EBIG, P_BIG, 10**9), 1))
+            with deadline(SEARCH_DEADLINE_S):
+                hits = list(itertools.islice(descent._search_class(EBIG, P_BIG, 10**9), 1))
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -470,7 +492,8 @@ class TestAlphaImage:
         # hit of each class ends its search
         E = CurveModel(0, 18 * p * p)
         start = time.perf_counter()
-        image = alpha_image(E, PSIBAR, 10**9)
+        with deadline(SEARCH_DEADLINE_S):
+            image = alpha_image(E, PSIBAR, 10**9)
         assert time.perf_counter() - start < 5
         assert image == selmer(E, PSIBAR).classes
 
