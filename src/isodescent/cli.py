@@ -38,8 +38,6 @@ from .family import (
 
 SPEC_VERSION = 1
 
-OutputRecord = dict
-
 
 class RunConfig(NamedTuple):
     command: str
@@ -60,24 +58,11 @@ _RANK_HEAD = (*_CLASS, *_BOUNDS, "theorem_bound", "proposition")
 _SELMER_CLASSES = ("selmer_psibar", "selmer_psi", "selmer_psibar_symbolic", "selmer_psi_symbolic")
 _REPR = ("repr_3p_a", "repr_3p_b", "repr_p_a", "repr_p_b")
 
-# fixed column order per command (also used for header-only output)
+# the columns rank and scan project from one report (scan's also head a scan
+# with no primes); other records keep the keys their builders write, in order
 _SCHEMAS = {
-    "classify": (*_CLASS, "theorem_bound"),
-    "selmer": (
-        "spec_version",
-        "p",
-        "closed_psibar",
-        "closed_psi",
-        "engine_psibar",
-        "engine_psi",
-        "psibar_symbolic",
-        "psi_symbolic",
-        "consistent",
-    ),
     "rank": (*_RANK_HEAD, "consistent"),
-    "repr": ("spec_version", "p", *_REPR),
     "scan": (*_RANK_HEAD, *_SELMER_CLASSES, *_REPR, "consistent"),
-    "descent": ("spec_version", "a", "b", *_BOUNDS),
 }
 
 
@@ -189,47 +174,42 @@ def _classes_symbolic(classes, p: int) -> str:
     return " ".join(_symbolic(c, p) for c in sorted(classes))
 
 
-def _class_cells(cls) -> OutputRecord:
+def _class_cells(cls) -> dict:
     return dict(zip(_CLASS, (SPEC_VERSION, cls.p, cls.residue_mod_24, cls.quartic2)))
 
 
-def _repr_cells(w3p, wp) -> OutputRecord:
+def _repr_cells(w3p, wp) -> dict:
     """The four repr_* cells; a missing witness gives empty cells."""
     return dict(zip(_REPR, [getattr(w, ab, None) for w in (w3p, wp) for ab in ("a", "b")]))
 
 
-def _classify_record(p: int) -> OutputRecord:
+def _classify_record(p: int) -> dict:
     return {**_class_cells(classify(p)), "theorem_bound": str(theorem_bound(p))}
 
 
-def _selmer_record(p: int) -> OutputRecord:
+def _selmer_record(p: int) -> dict:
     E = curve_for_prime(p)
-    closed_bar = closed_form_selmer_psibar(p)
-    closed_psi = closed_form_selmer_psi(p)
-    engine_bar = selmer(E, PSIBAR)
-    engine_psi = selmer(E, PSI)
-    consistent = (
-        closed_bar.classes == engine_bar.classes and closed_psi.classes == engine_psi.classes
-    )
+    closed = closed_form_selmer_psibar(p).classes, closed_form_selmer_psi(p).classes
+    engine = selmer(E, PSIBAR).classes, selmer(E, PSI).classes
     return {
         "spec_version": SPEC_VERSION,
         "p": p,
-        "closed_psibar": _classes_numeric(closed_bar.classes),
-        "closed_psi": _classes_numeric(closed_psi.classes),
-        "engine_psibar": _classes_numeric(engine_bar.classes),
-        "engine_psi": _classes_numeric(engine_psi.classes),
-        "psibar_symbolic": _classes_symbolic(engine_bar.classes, p),
-        "psi_symbolic": _classes_symbolic(engine_psi.classes, p),
-        "consistent": consistent,
+        "closed_psibar": _classes_numeric(closed[0]),
+        "closed_psi": _classes_numeric(closed[1]),
+        "engine_psibar": _classes_numeric(engine[0]),
+        "engine_psi": _classes_numeric(engine[1]),
+        "psibar_symbolic": _classes_symbolic(engine[0], p),
+        "psi_symbolic": _classes_symbolic(engine[1], p),
+        "consistent": closed == engine,
     }
 
 
-def _repr_record(p: int) -> OutputRecord:
+def _repr_record(p: int) -> dict:
     cells = _repr_cells(find_repr(3 * p, 2), find_repr(p, 18))
     return {"spec_version": SPEC_VERSION, "p": p, **cells}
 
 
-def _report_record(p: int, height_bound: int, columns: tuple[str, ...]) -> OutputRecord:
+def _report_record(p: int, height_bound: int, columns: tuple[str, ...]) -> dict:
     """Project verify_prime's report for p onto columns (rank's or scan's)."""
     report = verify_prime(p, height_bound)
     bar, psi = report.engine_psibar.classes, report.engine_psi.classes
@@ -248,7 +228,7 @@ def _report_record(p: int, height_bound: int, columns: tuple[str, ...]) -> Outpu
     return {k: cells[k] for k in columns}
 
 
-def _map_primes(fn, primes: list[int], jobs: int) -> list[OutputRecord]:
+def _map_primes(fn, primes: list[int], jobs: int) -> list[dict]:
     """fn over primes in order; at most one process per core and per prime."""
     jobs = min(jobs, os.cpu_count() or 1, len(primes))
     if jobs <= 1:
@@ -259,29 +239,29 @@ def _map_primes(fn, primes: list[int], jobs: int) -> list[OutputRecord]:
         return pool.map(fn, primes)
 
 
-def execute(config: RunConfig) -> tuple[list[OutputRecord], int]:
-    """Run the configured command; exit code 1 flags any inconsistency."""
+def execute(config: RunConfig) -> tuple[list[dict], int]:
+    """Run the configured command; exit code 1 flags any inconsistency.
+
+    Each per-prime command maps its row builder over its primes: --p, or
+    every prime up to --max for scan.
+    """
     command = config.command
-    if command == "classify":
-        records = [_classify_record(config.p)]
-    elif command == "selmer":
-        records = [_selmer_record(config.p)]
-    elif command == "repr":
-        records = [_repr_record(config.p)]
-    elif command in ("rank", "scan"):
-        if command == "rank":
-            primes = [config.p]
-        else:
-            primes = primes_up_to(config.range_max) if config.range_max >= 2 else []
-        project = partial(
-            _report_record, height_bound=config.height_bound, columns=_SCHEMAS[command]
-        )
-        records = _map_primes(project, primes, config.parallelism)
-    elif command == "descent":
+    if command == "descent":
         bounds = rank_bounds(CurveModel(config.a, config.b), config.height_bound)
         records = [{"spec_version": SPEC_VERSION, "a": config.a, "b": config.b, **bounds._asdict()}]
     else:
-        raise ValueError(f"unknown command {command!r}")
+        report = partial(
+            _report_record, height_bound=config.height_bound, columns=_SCHEMAS.get(command)
+        )
+        builders = {"classify": _classify_record, "selmer": _selmer_record, "repr": _repr_record}
+        row = {**builders, "rank": report, "scan": report}.get(command)
+        if row is None:
+            raise ValueError(f"unknown command {command!r}")
+        if command == "scan":
+            primes = primes_up_to(config.range_max) if config.range_max >= 2 else []
+        else:
+            primes = [config.p]
+        records = _map_primes(row, primes, config.parallelism)
     bad = any(r.get("consistent") is False for r in records)
     return records, (1 if bad else 0)
 
@@ -299,7 +279,7 @@ def _csv_cell(value) -> str:
 
 
 def emit(
-    records: list[OutputRecord],
+    records: list[dict],
     output_format: str,
     path: Optional[str] = None,
     columns: Optional[tuple[str, ...]] = None,
@@ -339,7 +319,7 @@ def emit(
     return data
 
 
-def _text_table(records: list[OutputRecord], header: tuple[str, ...]) -> str:
+def _text_table(records: list[dict], header: tuple[str, ...]) -> str:
     if not header:
         return "(no records)\n"
     rows = [[_csv_cell(rec.get(k)) for k in header] for rec in records]
@@ -350,7 +330,7 @@ def _text_table(records: list[OutputRecord], header: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_records_csv(data: bytes) -> list[OutputRecord]:
+def parse_records_csv(data: bytes) -> list[dict]:
     """Inverse of emit(..., "csv"): restores the documented column types."""
     rows = list(csv.reader(io.StringIO(data.decode())))
     if not rows:
@@ -363,7 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else argv)
     records, code = execute(config)
     try:
-        data = emit(records, config.output_format, config.output_path, _SCHEMAS[config.command])
+        data = emit(records, config.output_format, config.output_path, _SCHEMAS.get(config.command))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .arith import _factorization, class_product, factorize, squarefree_class
 from .local import (
@@ -87,15 +87,20 @@ class HomSpacePoint(
         return super().__new__(cls, b1, z, w)
 
 
+def _group_dim(classes: frozenset[int]) -> int:
+    """Dimension over F_2 of a group of square classes, checked to be one."""
+    n = len(classes)
+    if n & (n - 1):
+        raise InternalConsistencyError(f"{n} square classes are not a group: not a power of 2")
+    return n.bit_length() - 1
+
+
 class SelmerGroup(NamedTuple):
     classes: frozenset[int]
 
     @property
     def dim(self) -> int:
-        n = len(self.classes)
-        if n & (n - 1):
-            raise InternalConsistencyError(f"Selmer cardinality {n} is not a power of 2")
-        return n.bit_length() - 1
+        return _group_dim(self.classes)
 
     def sorted_classes(self) -> list[int]:
         return sorted(self.classes)
@@ -197,15 +202,6 @@ def _space_form(curve: CurveModel, b1: int) -> QuarticForm:
     if curve.b % b1 != 0:
         raise ValueError(f"{b1} does not divide b = {curve.b}")
     return QuarticForm(b1, curve.a, curve.b // b1)
-
-
-def _closure(classes: Iterable[int]) -> frozenset[int]:
-    group = {1}
-    frontier = set(classes) | {1}
-    while frontier != group:
-        group = set(frontier)
-        frontier = {class_product(u, v) for u in group for v in group}
-    return frozenset(group)
 
 
 def _descent_side(E: CurveModel, which: str) -> CurveModel:
@@ -374,12 +370,13 @@ def alpha_image(E: CurveModel, which: str, height_bound: int) -> frozenset[int]:
         raise ValueError("height_bound must be >= 1")
     sel = selmer(E, which)
     curve = _descent_side(E, which)
-    generated = _closure([squarefree_class(curve.b)])
+    generated = frozenset({1, squarefree_class(curve.b)})
     for b1 in sorted(sel.classes):
         if b1 in generated:
             continue
         if next(_search_class(curve, b1, height_bound), None) is not None:
-            generated = _closure(generated | {b1})
+            # square classes form an F_2-vector space: G and b1*G span <G, b1>
+            generated |= {class_product(b1, g) for g in generated}
     if not generated <= sel.classes:
         raise InternalConsistencyError("alpha image escaped its Selmer group")
     return generated
@@ -495,8 +492,8 @@ def rank_bounds(E: CurveModel, height_bound: int = 2000) -> RankBounds:
     """Selmer upper bound and search-based lower bound on rank(E(Q))."""
     db = selmer(E, PSIBAR).dim
     dp = selmer(E, PSI).dim
-    ia = len(alpha_image(E, PSIBAR, height_bound)).bit_length() - 1
-    ib = len(alpha_image(E, PSI, height_bound)).bit_length() - 1
+    ia = _group_dim(alpha_image(E, PSIBAR, height_bound))
+    ib = _group_dim(alpha_image(E, PSI, height_bound))
     upper = db + dp - 2
     lower = max(0, ia + ib - 2)
     return RankBounds(

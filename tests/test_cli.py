@@ -288,6 +288,26 @@ class TestPoolClamp:
         assert FakePool.sizes == []
 
 
+def refuse_pool(processes):
+    raise AssertionError(f"a one-prime command asked for a pool of {processes}")
+
+
+class TestOnePath:
+    def test_unknown_command_names_itself(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            execute(RunConfig(command="bogus"))
+
+    @pytest.mark.parametrize("command", ["classify", "selmer", "repr"])
+    def test_one_prime_runs_in_process(self, monkeypatch, command):
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(multiprocessing, "Pool", refuse_pool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
+        records, code = execute(RunConfig(command=command, p=1217, parallelism=4))
+        assert code == 0
+        assert [r["p"] for r in records] == [1217]
+
+
 class TestImports:
     def test_cli_loads_no_dataclasses_or_multiprocessing(self):
         # a process that runs no pool needs neither module; both cost start-up time

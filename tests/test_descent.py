@@ -14,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isodescent import descent, local
-from isodescent.arith import primes_up_to, squarefree_class
+from isodescent.arith import class_product, primes_up_to, squarefree_class
 from isodescent.descent import (
     PSI,
     PSIBAR,
     CurveModel,
     CurvePoint,
     HomSpacePoint,
+    InternalConsistencyError,
     alpha_image,
     apply_dual_isogeny,
     apply_isogeny,
@@ -498,6 +499,41 @@ class TestAlphaImage:
         assert image == selmer(E, PSIBAR).classes
 
 
+def fixpoint_closure(classes):
+    """The subgroup generated by classes: all pairwise products, repeated
+    until nothing new appears."""
+    group = {1}
+    frontier = set(classes) | {1}
+    while frontier != group:
+        group = set(frontier)
+        frontier = {class_product(u, v) for u in group for v in group}
+    return frozenset(group)
+
+
+def reference_alpha_image(E, which, height_bound):
+    """alpha_image with the group closed afresh after every new class."""
+    curve = E if which == PSIBAR else dual_curve(E)
+    generated = fixpoint_closure([squarefree_class(curve.b)])
+    for b1 in sorted(selmer(E, which).classes):
+        if b1 not in generated and next(descent._search_class(curve, b1, height_bound), None):
+            generated = fixpoint_closure(generated | {b1})
+    return generated
+
+
+class TestAlphaImageGroup:
+    @given(a=st.integers(min_value=-30, max_value=30), b=st.integers(min_value=-300, max_value=300))
+    @example(a=0, b=18 * 11**2)
+    @example(a=-30, b=-279)  # psi image needs a product of two found classes
+    @example(a=-29, b=-170)  # so does the psibar image
+    @settings(max_examples=100, deadline=None)
+    def test_same_group_as_the_fixpoint_closure(self, a, b):
+        if b == 0 or a * a == 4 * b:
+            return
+        E = CurveModel(a, b)
+        for which in (PSIBAR, PSI):
+            assert alpha_image(E, which, 12) == reference_alpha_image(E, which, 12), which
+
+
 class TestRankBounds:
     def test_e7_rank_zero(self):
         rb = rank_bounds(E7, 10)
@@ -521,6 +557,12 @@ class TestRankBounds:
 
     def test_reproducible(self):
         assert rank_bounds(E5, 25) == rank_bounds(E5, 25)
+
+    def test_image_that_is_no_group_raises(self, monkeypatch):
+        # three classes cannot be a group; the dimension check must say so
+        monkeypatch.setattr(descent, "alpha_image", lambda E, which, height_bound: frozenset({1, 2, 3}))
+        with pytest.raises(InternalConsistencyError, match="not a group"):
+            rank_bounds(E7, 10)
 
     @pytest.mark.parametrize("n,congruent", [(1, False), (2, False), (3, False), (5, True), (6, True), (7, True)])
     def test_congruent_number_curves(self, n, congruent):
