@@ -39,7 +39,10 @@ _MAX_TORSION_ORDER = 12
 
 
 class InternalConsistencyError(RuntimeError):
-    """A computed Selmer set failed subgroup closure (local engine bug)."""
+    """The engine broke an invariant of its own (a bug, not bad input): a
+    Selmer set failed subgroup closure, a set of square classes taken for a
+    group has a size that is not a power of 2, or an alpha image escaped
+    its Selmer group."""
 
 
 class CurveModel(NamedTuple("CurveModel", [("a", int), ("b", int)])):
@@ -190,18 +193,8 @@ def divisor_classes(b: int) -> list[int]:
     """
     if b == 0:
         raise ValueError("divisor_classes requires b != 0")
-    primes = [p for p, _ in _factorization(abs(b))]
-    divisors = [1]
-    for p in primes:
-        divisors += [d * p for d in divisors]
-    signed = sorted(d * s for d in divisors for s in (1, -1))
-    return signed
-
-
-def _space_form(curve: CurveModel, b1: int) -> QuarticForm:
-    if curve.b % b1 != 0:
-        raise ValueError(f"{b1} does not divide b = {curve.b}")
-    return QuarticForm(b1, curve.a, curve.b // b1)
+    divisors = _divisors_of({p: 1 for p, _ in _factorization(abs(b))})
+    return sorted(d * s for d in divisors for s in (1, -1))
 
 
 def _descent_side(E: CurveModel, which: str) -> CurveModel:
@@ -225,7 +218,7 @@ def selmer(E: CurveModel, which: str) -> SelmerGroup:
     classes = frozenset(
         b1
         for b1 in divisor_classes(curve.b)
-        if solvable_everywhere_locally(_space_form(curve, b1), places)
+        if solvable_everywhere_locally(QuarticForm(b1, curve.a, curve.b // b1), places)
     )
     torsion_class = squarefree_class(curve.b)
     if 1 not in classes or torsion_class not in classes:
@@ -406,16 +399,14 @@ def apply_isogeny(E: CurveModel, P: CurvePoint) -> CurvePoint:
 def apply_dual_isogeny(E: CurveModel, P: CurvePoint) -> CurvePoint:
     """The dual isogeny (X, Y) -> (Y^2/4X^2, Y*(bbar - X^2)/8X^2) onto E.
 
-    Composing after apply_isogeny is multiplication by 2 on E.
+    That is the isogeny of the dual curve, onto its dual (4a, 16b),
+    followed by (x, y) -> (x/4, y/8) onto E.  Composing after apply_isogeny
+    is multiplication by 2 on E.
     """
-    Ebar = dual_curve(E)
-    _require_on_curve(Ebar, P)
-    if P.is_identity or P.x == 0:
-        return CurvePoint.identity()
-    X, Y = P.x, P.y
-    x = Y * Y / (4 * X * X)
-    y = Y * (Ebar.b - X * X) / (8 * X * X)
-    image = CurvePoint(x, y)
+    image = apply_isogeny(dual_curve(E), P)
+    if image.is_identity:
+        return image
+    image = CurvePoint(image.x / 4, image.y / 8)
     _require_on_curve(E, image)
     return image
 
@@ -465,12 +456,7 @@ def torsion_info(E: CurveModel) -> list[CurvePoint]:
     y_candidates = [0] + _divisors_of({p: e // 2 for p, e in fact.items() if e >= 2})
     found = {CurvePoint.identity()}
     for y in y_candidates:
-        target = y * y
-        if target == 0:
-            xs = [0] + _quadratic_integer_roots(E.a, E.b)
-        else:
-            xs = _cubic_integer_roots(E.a, E.b, -target)
-        for x in xs:
+        for x in _cubic_integer_roots(E.a, E.b, -y * y):
             for sign in (1, -1) if y else (1,):
                 P = CurvePoint.affine(x, sign * y)
                 if not on_curve(E, P) or P in found:

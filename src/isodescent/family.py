@@ -9,11 +9,16 @@ harness that runs the generic descent engine against all of it.
 Closed forms here are lookup tables; the generic engine in descent.py
 recomputes the same groups from local solvability, and verify_prime
 reports (rather than assumes) their agreement.
+
+Every function of p starts from classify, which alone tests p for
+primality and is memoized, so a run that asks several tables about one p
+tests it once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -86,18 +91,18 @@ class FamilyReport(NamedTuple):
     consistent: bool
 
 
-def _require_prime(p: int) -> None:
+@lru_cache(maxsize=64)
+def classify(p: int) -> PrimeClass:
+    """p mod 24 and (2/p)_4; the one primality test of p in this module."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    quartic2 = quartic_symbol(2, p) if p % 8 == 1 else None
+    return PrimeClass(p, p % 24, quartic2)
 
 
 def curve_for_prime(p: int) -> CurveModel:
     """y^2 = x^3 + 18p^2x."""
-    _require_prime(p)
-    return _curve(p)
-
-
-def _curve(p: int) -> CurveModel:
+    classify(p)
     return CurveModel(0, 18 * p * p)
 
 
@@ -107,7 +112,7 @@ def transform_point(p: int, P: CurvePoint, direction: str) -> CurvePoint:
     The change of variables is (x, y) = (3X, 3Y); both directions are
     exact bijections on rational points.
     """
-    _require_prime(p)
+    E = curve_for_prime(p)
     if direction not in (TO_REDUCED, FROM_REDUCED):
         raise ValueError(f"unknown direction {direction!r}")
     if P.is_identity:
@@ -117,28 +122,14 @@ def transform_point(p: int, P: CurvePoint, direction: str) -> CurvePoint:
         if Y * Y != 3 * X**3 + 6 * p * p * X:
             raise ValueError("point is not on Y^2 = 3X^3 + 6p^2X")
         return CurvePoint(3 * X, 3 * Y)
-    if not on_curve(_curve(p), P):
+    if not on_curve(E, P):
         raise ValueError("point is not on y^2 = x^3 + 18p^2x")
     return CurvePoint(X / 3, Y / 3)
 
 
-def classify(p: int) -> PrimeClass:
-    _require_prime(p)
-    quartic2 = quartic_symbol(2, p) if p % 8 == 1 else None
-    return PrimeClass(p, p % 24, quartic2)
-
-
-# Each public table of p tests that p is prime, through classify; its
-# private twin takes the PrimeClass, so verify_prime tests p only once.
-
-
 def closed_form_selmer_psibar(p: int) -> SelmerGroup:
     """The five-case table for S_p[psibar], keyed on p mod 24 and (2/p)_4."""
-    return _closed_psibar(classify(p))
-
-
-def _closed_psibar(cls: PrimeClass) -> SelmerGroup:
-    p, r, q4 = cls.p, cls.residue_mod_24, cls.quartic2
+    _, r, q4 = classify(p)
     if p in (2, 3):
         members = [1, 2]
     elif r in (11, 19) or (r == 1 and q4 == 1):
@@ -156,11 +147,7 @@ def _closed_psibar(cls: PrimeClass) -> SelmerGroup:
 
 def closed_form_selmer_psi(p: int) -> SelmerGroup:
     """The three-case table for S_p[psi]."""
-    return _closed_psi(classify(p))
-
-
-def _closed_psi(cls: PrimeClass) -> SelmerGroup:
-    p, r, q4 = cls.p, cls.residue_mod_24, cls.quartic2
+    _, r, q4 = classify(p)
     if r == 1 and q4 == 1:
         members = [1, -2, p, -2 * p]
     elif r == 23:
@@ -172,11 +159,7 @@ def _closed_psi(cls: PrimeClass) -> SelmerGroup:
 
 def theorem_bound(p: int) -> RankStatement:
     """Rank ceiling by residue class: 0 exact, or <=1 / <=2 / <=3."""
-    return _theorem_bound(classify(p))
-
-
-def _theorem_bound(cls: PrimeClass) -> RankStatement:
-    p, r, q4 = cls.p, cls.residue_mod_24, cls.quartic2
+    _, r, q4 = classify(p)
     if p in (2, 3) or r == 7:
         return RankStatement(0, exact=True)
     if r in (5, 13, 17):
@@ -214,7 +197,7 @@ def witness_homspace_point(p: int, w: ReprWitness) -> HomSpacePoint:
     3p = a^4 + 2b^4 gives (z, w) = (b/a, 3p/a^2) on w^2 = 3p + 6p*z^4;
     p = a^4 + 18b^4 gives (z, w) = (b/a, p/a^2) on w^2 = p + 18p*z^4.
     """
-    _require_prime(p)
+    curve = curve_for_prime(p)
     a, b = w.a, w.b
     if w.kind == KIND_3P:
         if a**4 + 2 * b**4 != 3 * p:
@@ -227,7 +210,6 @@ def witness_homspace_point(p: int, w: ReprWitness) -> HomSpacePoint:
         point = HomSpacePoint(p, Fraction(b, a), Fraction(p, a * a))
     else:
         raise ValueError(f"unknown witness kind {w.kind!r}")
-    curve = _curve(p)
     value = point.b1 + (curve.b // point.b1) * point.z**4
     if point.w**2 != value:
         raise AssertionError("witness point fails its space equation")
@@ -268,19 +250,18 @@ def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
     """Run closed forms and the generic engine side by side.
 
     Inconsistency is reported in the `consistent` flag, never raised: the
-    whole point of the harness is to surface disagreement as data.  p is
-    tested for primality once, by classify.
+    whole point of the harness is to surface disagreement as data.
     """
     cls = classify(p)
-    E = _curve(p)
-    closed_bar = _closed_psibar(cls)
-    closed_psi = _closed_psi(cls)
+    E = curve_for_prime(p)
+    closed_bar = closed_form_selmer_psibar(p)
+    closed_psi = closed_form_selmer_psi(p)
     engine_bar = selmer(E, PSIBAR)
     engine_psi = selmer(E, PSI)
     bounds = rank_bounds(E, height_bound)
     w3p, wp = find_repr(3 * p, 2), find_repr(p, 18)
     prop = _proposition(cls, w3p, wp)
-    bound_stmt = _theorem_bound(cls)
+    bound_stmt = theorem_bound(p)
 
     consistent = (
         closed_bar.classes == engine_bar.classes

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from isodescent.arith import is_prime
 from isodescent.cli import (
     RunConfig,
     _SCHEMAS,
@@ -306,6 +307,22 @@ class TestOnePath:
         records, code = execute(RunConfig(command=command, p=1217, parallelism=4))
         assert code == 0
         assert [r["p"] for r in records] == [1217]
+
+    @pytest.mark.parametrize("command", ["classify", "selmer"])
+    def test_one_primality_test_of_p(self, monkeypatch, command):
+        import isodescent.family as family_mod
+
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(family_mod, "is_prime", counting_is_prime)
+        family_mod.classify.cache_clear()
+        records, code = execute(RunConfig(command=command, p=1217))
+        assert code == 0
+        assert calls == [1217]
 
 
 class TestImports:

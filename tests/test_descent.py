@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 from conftest import deadline
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isodescent import descent, local
@@ -426,8 +426,27 @@ class TestIsogenies:
     def test_rejects_points_off_curve(self):
         with pytest.raises(ValueError):
             apply_isogeny(E7, CurvePoint.affine(1, 1))
-        with pytest.raises(ValueError):
+        Ebar = dual_curve(E7)
+        with pytest.raises(ValueError, match=rf"^point .* is not on y\^2 = x\^3 \+ {Ebar.a}x\^2 \+ {Ebar.b}x$"):
             apply_dual_isogeny(E7, CurvePoint.affine(1, 1))
+
+    @given(
+        a=st.integers(min_value=-30, max_value=30),
+        x0=st.integers(min_value=-30, max_value=30).filter(bool),
+        t=st.integers(min_value=-30, max_value=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_both_compositions_are_doubling(self, a, x0, t):
+        # b = x0*(t^2 - x0 - a) puts (x0, t*x0) on y^2 = x^3 + a*x^2 + b*x
+        b = x0 * (t * t - x0 - a)
+        assume(b != 0 and a * a != 4 * b)
+        E, P = CurveModel(a, b), CurvePoint.affine(x0, t * x0)
+        Ebar = dual_curve(E)
+        Q = apply_isogeny(E, P)
+        assert apply_dual_isogeny(E, Q) == point_multiply(E, 2, P)
+        for R in (Q, point_add(Ebar, Q, CurvePoint.affine(0, 0))):
+            assert on_curve(Ebar, R)
+            assert apply_isogeny(E, apply_dual_isogeny(E, R)) == point_multiply(Ebar, 2, R)
 
 
 class TestPointArithmetic:

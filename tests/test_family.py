@@ -264,6 +264,7 @@ class TestVerifyPrime:
             return is_prime(n)
 
         monkeypatch.setattr(family_mod, "is_prime", counting_is_prime)
+        family_mod.classify.cache_clear()
         for p in (7, 1217, 19249):
             calls.clear()
             family_mod.verify_prime(p, 10)
