@@ -18,8 +18,6 @@ from .arith import (
     valuation,
 )
 from .descent import (
-    PSI,
-    PSIBAR,
     CurveModel,
     CurvePoint,
     HomSpacePoint,

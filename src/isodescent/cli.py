@@ -25,7 +25,7 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .arith import IS_PRIME_LIMIT, is_prime, primes_up_to
-from .descent import PSI, PSIBAR, CurveModel, RankBounds, bad_places, rank_bounds, selmer
+from .descent import CurveModel, RankBounds, bad_places, dual_curve, rank_bounds, selmer
 from .family import (
     classify,
     closed_form_selmer_psi,
@@ -190,7 +190,7 @@ def _classify_record(p: int) -> dict:
 def _selmer_record(p: int) -> dict:
     E = curve_for_prime(p)
     closed = closed_form_selmer_psibar(p).classes, closed_form_selmer_psi(p).classes
-    engine = selmer(E, PSIBAR).classes, selmer(E, PSI).classes
+    engine = selmer(E).classes, selmer(dual_curve(E)).classes
     return {
         "spec_version": SPEC_VERSION,
         "p": p,
@@ -284,7 +284,8 @@ def emit(
     path: Optional[str] = None,
     columns: Optional[tuple[str, ...]] = None,
 ) -> bytes:
-    """Serialize records; write-then-rename when a path is given.
+    """Serialize records; write-then-rename when a path is given, the file
+    getting mode 0o666 less the umask, as a newly created file would.
 
     columns supplies the header when the record list is empty.
     """
@@ -309,6 +310,11 @@ def emit(
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
+            # mkstemp creates the file 0600 whatever the umask (which can
+            # only be read by setting it)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             try:

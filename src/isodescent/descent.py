@@ -9,10 +9,11 @@ bounds
     upper = dim S[psibar] + dim S[psi] - 2
     lower = dim Im(alpha) + dim Im(alphabar) - 2   (floored at 0)
 
-Convention: S[psibar] is computed from the spaces of E itself and S[psi]
-from the spaces of the dual curve; the middle coefficient of a curve's
-spaces is always that curve's own a.  All point arithmetic is exact
-rational arithmetic.
+Each Selmer group belongs to one curve and is computed from that curve's
+own spaces, whose middle coefficient is the curve's own a: S[psibar] of E
+is selmer(E) and S[psi] of E is selmer(dual_curve(E)).  A curve and its
+dual have the same bad places.  All point arithmetic is exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .local import (
     QuarticForm,
     solvable_everywhere_locally,
 )
-
-PSI = "psi"
-PSIBAR = "psibar"
 
 # Mazur: rational torsion has order at most 12
 _MAX_TORSION_ORDER = 12
@@ -176,12 +174,20 @@ def dual_curve(E: CurveModel) -> CurveModel:
     return CurveModel(-2 * E.a, E.a * E.a - 4 * E.b)
 
 
-@lru_cache(maxsize=4096)
+# selmer, itself cached, asks once per curve: only recent curves need holding
+@lru_cache(maxsize=64)
 def bad_places(E: CurveModel) -> frozenset[Place]:
-    """Infinity together with every prime dividing 2*b*bbar; computed once
-    per curve, since both Selmer groups ask for it."""
-    bbar = dual_curve(E).b
-    primes = {2} | {p for p, _ in _factorization(abs(E.b)) + _factorization(abs(bbar))}
+    """Infinity together with every prime dividing 2*b*bbar, the same set
+    for E and its dual.
+
+    2 is always in the set, so a factor 16 of bbar is dropped before it is
+    factored: the dual of the dual has bbar = 16b, and the dual's places
+    then come from the factorizations E already made.
+    """
+    bbar = abs(dual_curve(E).b)
+    if bbar % 16 == 0:
+        bbar //= 16
+    primes = {2} | {p for p, _ in _factorization(abs(E.b)) + _factorization(bbar)}
     return frozenset({INFINITY} | {Place(p) for p in primes})
 
 
@@ -197,30 +203,20 @@ def divisor_classes(b: int) -> list[int]:
     return sorted(d * s for d in divisors for s in (1, -1))
 
 
-def _descent_side(E: CurveModel, which: str) -> CurveModel:
-    if which == PSIBAR:
-        return E
-    if which == PSI:
-        return dual_curve(E)
-    raise ValueError(f"which must be {PSIBAR!r} or {PSI!r}, got {which!r}")
-
-
 @lru_cache(maxsize=4096)
-def selmer(E: CurveModel, which: str) -> SelmerGroup:
-    """Square classes b1 | b whose space is solvable at every bad place.
+def selmer(E: CurveModel) -> SelmerGroup:
+    """Square classes b1 | b whose space of E is solvable at every bad place.
 
-    which=PSIBAR uses the spaces of E, which=PSI the spaces of the dual
-    curve; the bad-place set is shared.  The result is checked to be a
-    subgroup containing 1 and the class of b.
+    This is S[psibar] of E; S[psi] of E is selmer(dual_curve(E)).  The
+    result is checked to be a subgroup containing 1 and the class of b.
     """
     places = bad_places(E)
-    curve = _descent_side(E, which)
     classes = frozenset(
         b1
-        for b1 in divisor_classes(curve.b)
-        if solvable_everywhere_locally(QuarticForm(b1, curve.a, curve.b // b1), places)
+        for b1 in divisor_classes(E.b)
+        if solvable_everywhere_locally(QuarticForm(b1, E.a, E.b // b1), places)
     )
-    torsion_class = squarefree_class(curve.b)
+    torsion_class = squarefree_class(E.b)
     if 1 not in classes or torsion_class not in classes:
         raise InternalConsistencyError(
             f"Selmer set {sorted(classes)} is missing a guaranteed class"
@@ -348,8 +344,9 @@ def homspace_to_curve(E: CurveModel, P: HomSpacePoint) -> CurvePoint:
     return point
 
 
-def alpha_image(E: CurveModel, which: str, height_bound: int) -> frozenset[int]:
-    """Subgroup of square classes proven to lie in the descent image.
+def alpha_image(E: CurveModel, height_bound: int) -> frozenset[int]:
+    """Subgroup of square classes proven to lie in the image of E(Q) under
+    the descent map (x, y) -> x mod squares.
 
     Generated by 1 and the class of b (images of the identity and (0, 0))
     together with every Selmer class whose space yields a rational point
@@ -361,13 +358,12 @@ def alpha_image(E: CurveModel, which: str, height_bound: int) -> frozenset[int]:
     """
     if height_bound < 1:
         raise ValueError("height_bound must be >= 1")
-    sel = selmer(E, which)
-    curve = _descent_side(E, which)
-    generated = frozenset({1, squarefree_class(curve.b)})
+    sel = selmer(E)
+    generated = frozenset({1, squarefree_class(E.b)})
     for b1 in sorted(sel.classes):
         if b1 in generated:
             continue
-        if next(_search_class(curve, b1, height_bound), None) is not None:
+        if next(_search_class(E, b1, height_bound), None) is not None:
             # square classes form an F_2-vector space: G and b1*G span <G, b1>
             generated |= {class_product(b1, g) for g in generated}
     if not generated <= sel.classes:
@@ -476,17 +472,14 @@ def torsion_info(E: CurveModel) -> list[CurvePoint]:
 
 def rank_bounds(E: CurveModel, height_bound: int = 2000) -> RankBounds:
     """Selmer upper bound and search-based lower bound on rank(E(Q))."""
-    db = selmer(E, PSIBAR).dim
-    dp = selmer(E, PSI).dim
-    ia = _group_dim(alpha_image(E, PSIBAR, height_bound))
-    ib = _group_dim(alpha_image(E, PSI, height_bound))
-    upper = db + dp - 2
-    lower = max(0, ia + ib - 2)
+    pair = (E, dual_curve(E))
+    db, dp = (selmer(C).dim for C in pair)
+    ia, ib = (_group_dim(alpha_image(C, height_bound)) for C in pair)
     return RankBounds(
         dim_selmer_psibar=db,
         dim_selmer_psi=dp,
         dim_im_alpha=ia,
         dim_im_alphabar=ib,
-        lower=lower,
-        upper=upper,
+        lower=max(0, ia + ib - 2),
+        upper=db + dp - 2,
     )

@@ -24,13 +24,12 @@ from typing import NamedTuple, Optional
 
 from .arith import _iroot, is_prime, quartic_symbol, squarefree_class
 from .descent import (
-    PSI,
-    PSIBAR,
     CurveModel,
     CurvePoint,
     HomSpacePoint,
     RankBounds,
     SelmerGroup,
+    dual_curve,
     on_curve,
     rank_bounds,
     selmer,
@@ -256,8 +255,8 @@ def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
     E = curve_for_prime(p)
     closed_bar = closed_form_selmer_psibar(p)
     closed_psi = closed_form_selmer_psi(p)
-    engine_bar = selmer(E, PSIBAR)
-    engine_psi = selmer(E, PSI)
+    engine_bar = selmer(E)
+    engine_psi = selmer(dual_curve(E))
     bounds = rank_bounds(E, height_bound)
     w3p, wp = find_repr(3 * p, 2), find_repr(p, 18)
     prop = _proposition(cls, w3p, wp)

@@ -3,8 +3,12 @@ import signal
 import sys
 from contextlib import contextmanager
 
-# allow running the suite from a fresh checkout without installing
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# allow running the suite from a fresh checkout without installing: src/
+# goes on this process's path and on PYTHONPATH, which the subprocesses
+# that run the CLI inherit
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @contextmanager

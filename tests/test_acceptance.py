@@ -19,8 +19,6 @@ import pytest
 
 from isodescent.arith import jacobi, primes_up_to, quartic_symbol
 from isodescent.descent import (
-    PSI,
-    PSIBAR,
     alpha_image,
     dual_curve,
     rank_bounds,
@@ -62,9 +60,9 @@ def test_criterion_1_closed_form_engine_equivalence():
         mismatches = []
         for p in PRIME_SET:
             E = curve_for_prime(p)
-            if closed_form_selmer_psibar(p).classes != selmer(E, PSIBAR).classes:
+            if closed_form_selmer_psibar(p).classes != selmer(E).classes:
                 mismatches.append((p, "psibar"))
-            if closed_form_selmer_psi(p).classes != selmer(E, PSI).classes:
+            if closed_form_selmer_psi(p).classes != selmer(dual_curve(E)).classes:
                 mismatches.append((p, "psi"))
         assert mismatches == []
 
@@ -82,8 +80,8 @@ def test_criterion_2_dimension_tables():
                 want_bar = 2
             want_psi = 2 if (r == 23 or (r == 1 and q4 == 1)) else 1
             E = curve_for_prime(p)
-            assert selmer(E, PSIBAR).dim == want_bar, p
-            assert selmer(E, PSI).dim == want_psi, p
+            assert selmer(E).dim == want_bar, p
+            assert selmer(dual_curve(E)).dim == want_psi, p
 
 
 def test_criterion_3_theorem_bounds():
@@ -114,11 +112,11 @@ def test_criterion_4_remark_ranks():
         rb = rank_bounds(E, 20)
         assert rb.upper == 3 and rb.lower >= 2
         # the two proposition witnesses really are what carries the bound
-        assert {19249, 3 * 19249} <= alpha_image(E, PSIBAR, 20)
+        assert {19249, 3 * 19249} <= alpha_image(E, 20)
 
     # best-effort: a dual-curve class beyond {1, -2} would raise the lower
     # bound to 3, but no reference witness is known; record, never fail.
-    image = alpha_image(curve_for_prime(19249), PSI, 10_000)
+    image = alpha_image(dual_curve(curve_for_prime(19249)), 10_000)
     if len(image) > 2:
         print(f"ACCEPTANCE 4 note: dual-curve search SUCCEEDED, image {sorted(image)}")
     else:

@@ -1,5 +1,7 @@
 import json
 import multiprocessing
+import os
+import stat
 import subprocess
 import sys
 
@@ -151,6 +153,19 @@ class TestEmit:
         assert target.read_bytes() == data
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".isodescent-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "out.json"
+        records, _ = execute(RunConfig(command="classify", p=7))
+        previous = os.umask(umask)
+        try:
+            # a new file, then the same file overwritten
+            for _ in range(2):
+                emit(records, "json", path=str(target))
+                assert stat.S_IMODE(target.stat().st_mode) == mode
+        finally:
+            os.umask(previous)
 
 
 class TestMainExitCodes:

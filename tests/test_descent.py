@@ -14,10 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isodescent import descent, local
-from isodescent.arith import class_product, primes_up_to, squarefree_class
+from isodescent.arith import class_product, factorize, primes_up_to, squarefree_class
 from isodescent.descent import (
-    PSI,
-    PSIBAR,
     CurveModel,
     CurvePoint,
     HomSpacePoint,
@@ -136,25 +134,24 @@ class TestDivisorClasses:
 
 class TestSelmer:
     def test_e7_psibar(self):
-        assert selmer(E7, PSIBAR).sorted_classes() == [1, 2]
+        assert selmer(E7).sorted_classes() == [1, 2]
 
     def test_e11_psibar(self):
-        assert selmer(E11, PSIBAR).sorted_classes() == sorted(
+        assert selmer(E11).sorted_classes() == sorted(
             [1, 2, 3, 6, 11, 22, 33, 66]
         )
 
     def test_e23_psi(self):
-        assert selmer(E23, PSI).sorted_classes() == sorted([1, -2, -23, 46])
+        assert selmer(dual_curve(E23)).sorted_classes() == sorted([1, -2, -23, 46])
 
     def test_subgroup_properties(self):
         from isodescent.arith import class_product
 
         for E in (E5, E7, E11, E23):
-            for which in (PSIBAR, PSI):
-                group = selmer(E, which)
+            for curve in (E, dual_curve(E)):
+                group = selmer(curve)
                 classes = group.classes
                 assert 1 in classes
-                curve = E if which == PSIBAR else dual_curve(E)
                 assert squarefree_class(curve.b) in classes
                 for u in classes:
                     for v in classes:
@@ -162,10 +159,9 @@ class TestSelmer:
                 assert len(classes) == 2**group.dim
 
 
-def reference_selmer(E, which):
-    """The Selmer classes with every (class, place) decided afresh."""
-    curve = E if which == PSIBAR else dual_curve(E)
-    places = bad_places(E)
+def reference_selmer(curve, places):
+    """The Selmer classes of curve with every (class, place) decided afresh
+    over the given places."""
 
     def everywhere(q):
         return all(solvable_real(q) if pl.is_infinite else solvable_padic(q, pl.prime) for pl in places)
@@ -182,14 +178,17 @@ class TestSelmerVerdictCache:
         if b == 0 or a * a == 4 * b:
             return
         E = CurveModel(a, b)
+        places = bad_places(E)
+        # a curve and its dual share the primes of 2*b*(a^2 - 4b)
+        assert places == {INFINITY} | {Place(p) for p in factorize(2 * b * (a * a - 4 * b))}
+        assert bad_places(dual_curve(E)) == places
         local._padic_verdict.cache_clear()
-        for which in (PSIBAR, PSI):
-            assert selmer.__wrapped__(E, which).classes == reference_selmer(E, which), which
+        for curve in (E, dual_curve(E)):
+            assert selmer.__wrapped__(curve).classes == reference_selmer(curve, places), curve
 
-    @pytest.mark.parametrize("which", [PSIBAR, PSI])
-    def test_one_padic_call_per_class_over_q_l(self, which, monkeypatch):
-        E = CurveModel(0, 18 * 19249**2)
-        want = reference_selmer(E, which)
+    @pytest.mark.parametrize("curve", [EBIG, dual_curve(EBIG)], ids=["psibar", "psi"])
+    def test_one_padic_call_per_class_over_q_l(self, curve, monkeypatch):
+        want = reference_selmer(curve, bad_places(curve))
         calls = []
 
         def counting_solvable_padic(q, l):
@@ -198,7 +197,7 @@ class TestSelmerVerdictCache:
 
         monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
         local._padic_verdict.cache_clear()
-        assert selmer.__wrapped__(E, which).classes == want
+        assert selmer.__wrapped__(curve).classes == want
         # bad places 2, 3 and 19249: at most 8 + 4 + 4 classes of b1 over Q_l
         assert 0 < len(calls) <= 16
 
@@ -210,8 +209,8 @@ class TestSelmerVerdictCache:
         local._padic_verdict.cache_clear()
         for p in primes:
             E = CurveModel(0, 18 * p * p)
-            for which in (PSIBAR, PSI):
-                assert selmer.__wrapped__(E, which).classes == reference_selmer(E, which), (p, which)
+            for curve in (E, dual_curve(E)):
+                assert selmer.__wrapped__(curve).classes == reference_selmer(curve, bad_places(E)), curve
 
     def test_family_asks_few_q2_and_q3_questions(self, monkeypatch):
         calls = Counter()
@@ -489,22 +488,22 @@ class TestTorsion:
 
 class TestAlphaImage:
     def test_e7_everything_is_torsion(self):
-        assert alpha_image(E7, PSIBAR, 10) == frozenset({1, 2})
+        assert alpha_image(E7, 10) == frozenset({1, 2})
 
     def test_big_prime_witness_classes(self):
-        image = alpha_image(EBIG, PSIBAR, 20)
+        image = alpha_image(EBIG, 20)
         assert {1, 2, P_BIG, 3 * P_BIG} <= image
         # witnesses generate the whole group: 3 = class(p * 3p)
         assert image == frozenset({1, 2, 3, 6, P_BIG, 2 * P_BIG, 3 * P_BIG, 6 * P_BIG})
 
     def test_monotone_in_height(self):
         for H1, H2 in ((2, 5), (5, 20)):
-            assert alpha_image(E11, PSIBAR, H1) <= alpha_image(E11, PSIBAR, H2)
+            assert alpha_image(E11, H1) <= alpha_image(E11, H2)
 
     def test_contained_in_selmer(self):
         for E in (E5, E11, E23):
-            for which in (PSIBAR, PSI):
-                assert alpha_image(E, which, 30) <= selmer(E, which).classes
+            for curve in (E, dual_curve(E)):
+                assert alpha_image(curve, 30) <= selmer(curve).classes
 
     @pytest.mark.parametrize("p", [P_BIG, 1217])
     def test_takes_one_hit_per_class(self, p):
@@ -513,9 +512,9 @@ class TestAlphaImage:
         E = CurveModel(0, 18 * p * p)
         start = time.perf_counter()
         with deadline(SEARCH_DEADLINE_S):
-            image = alpha_image(E, PSIBAR, 10**9)
+            image = alpha_image(E, 10**9)
         assert time.perf_counter() - start < 5
-        assert image == selmer(E, PSIBAR).classes
+        assert image == selmer(E).classes
 
 
 def fixpoint_closure(classes):
@@ -529,11 +528,10 @@ def fixpoint_closure(classes):
     return frozenset(group)
 
 
-def reference_alpha_image(E, which, height_bound):
+def reference_alpha_image(curve, height_bound):
     """alpha_image with the group closed afresh after every new class."""
-    curve = E if which == PSIBAR else dual_curve(E)
     generated = fixpoint_closure([squarefree_class(curve.b)])
-    for b1 in sorted(selmer(E, which).classes):
+    for b1 in sorted(selmer(curve).classes):
         if b1 not in generated and next(descent._search_class(curve, b1, height_bound), None):
             generated = fixpoint_closure(generated | {b1})
     return generated
@@ -542,15 +540,15 @@ def reference_alpha_image(E, which, height_bound):
 class TestAlphaImageGroup:
     @given(a=st.integers(min_value=-30, max_value=30), b=st.integers(min_value=-300, max_value=300))
     @example(a=0, b=18 * 11**2)
-    @example(a=-30, b=-279)  # psi image needs a product of two found classes
-    @example(a=-29, b=-170)  # so does the psibar image
+    @example(a=-30, b=-279)  # the dual curve's image needs a product of two found classes
+    @example(a=-29, b=-170)  # so does the image of E itself
     @settings(max_examples=100, deadline=None)
     def test_same_group_as_the_fixpoint_closure(self, a, b):
         if b == 0 or a * a == 4 * b:
             return
         E = CurveModel(a, b)
-        for which in (PSIBAR, PSI):
-            assert alpha_image(E, which, 12) == reference_alpha_image(E, which, 12), which
+        for curve in (E, dual_curve(E)):
+            assert alpha_image(curve, 12) == reference_alpha_image(curve, 12), curve
 
 
 class TestRankBounds:
@@ -579,7 +577,7 @@ class TestRankBounds:
 
     def test_image_that_is_no_group_raises(self, monkeypatch):
         # three classes cannot be a group; the dimension check must say so
-        monkeypatch.setattr(descent, "alpha_image", lambda E, which, height_bound: frozenset({1, 2, 3}))
+        monkeypatch.setattr(descent, "alpha_image", lambda E, height_bound: frozenset({1, 2, 3}))
         with pytest.raises(InternalConsistencyError, match="not a group"):
             rank_bounds(E7, 10)
 
