@@ -25,10 +25,14 @@ IS_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+# the factorizations, places and symbols of one curve ask about the same few
+# primes again and again
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 1 <= n < IS_PRIME_LIMIT.
 
-    Raises ValueError outside the supported range; never probabilistic.
+    Raises ValueError outside the supported range (never cached); never
+    probabilistic.
     """
     if n < 1:
         raise ValueError(f"is_prime requires n >= 1, got {n}")

@@ -2,10 +2,13 @@
 
 Subcommands: classify | selmer | rank | repr | scan | descent.  Output is
 JSON (array of objects, fixed key order), RFC-4180 CSV, or an aligned text
-table; identical invocations produce byte-identical output.  Records carry
-spec_version 1.  Square classes serialize both as sorted signed integers
-(with p substituted numerically) and as a symbolic companion column using
-"p" notation for comparison against the case tables.
+table; identical invocations produce byte-identical output.  JSON and CSV
+records are written as they are computed; the text table is written once
+every row is known, because its column widths depend on all of them.
+Records carry spec_version 1.  Square classes serialize both as sorted
+signed integers (with p substituted numerically) and as a symbolic
+companion column using "p" notation for comparison against the case
+tables.
 
 Exit codes: 0 ok, 1 internal inconsistency detected (engine disagrees with
 a closed form; the offending record is still emitted), 2 usage error (a
@@ -22,7 +25,7 @@ import os
 import sys
 import tempfile
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .arith import IS_PRIME_LIMIT, is_prime, primes_up_to
 from .descent import CurveModel, RankBounds, bad_places, dual_curve, rank_bounds, selmer
@@ -132,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", dest="range_max", type=_positive_arg, required=True)
     sp.add_argument(
         "--jobs", dest="parallelism", metavar="JOBS", type=_positive_arg,
-        default=os.cpu_count() or 1,
+        default=_usable_cpus(),
     )
     add_common(sp)
 
@@ -228,42 +231,62 @@ def _report_record(p: int, height_bound: int, columns: tuple[str, ...]) -> dict:
     return {k: cells[k] for k in columns}
 
 
-def _map_primes(fn, primes: list[int], jobs: int) -> list[dict]:
-    """fn over primes in order; at most one process per core and per prime."""
-    jobs = min(jobs, os.cpu_count() or 1, len(primes))
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps
+    one, which os.cpu_count() ignores."""
+    if hasattr(os, "process_cpu_count"):  # Python 3.13+
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# a pool chunk's records are held, in the worker and then here, until the
+# whole chunk is done: Pool.map's ceil(n / (4 * jobs)) primes would be
+# 83 073 records at --max 10^7 on 2 jobs
+_MAX_CHUNK = 64
+
+
+def _map_primes(fn, primes: list[int], jobs: int) -> Iterator[dict]:
+    """fn over primes, lazily and in order; at most one process per usable
+    CPU and per prime, and a pool hands out the chunks Pool.map would, up
+    to _MAX_CHUNK primes each."""
+    jobs = min(jobs, _usable_cpus(), len(primes))
     if jobs <= 1:
-        return [fn(p) for p in primes]
+        yield from map(fn, primes)
+        return
     import multiprocessing
 
+    chunksize = min(-(-len(primes) // (4 * jobs)), _MAX_CHUNK)
     with multiprocessing.Pool(jobs) as pool:
-        return pool.map(fn, primes)
+        yield from pool.imap(fn, primes, chunksize)
 
 
-def execute(config: RunConfig) -> tuple[list[dict], int]:
-    """Run the configured command; exit code 1 flags any inconsistency.
+def execute(config: RunConfig) -> Iterator[dict]:
+    """The configured command's records, in order.
 
     Each per-prime command maps its row builder over its primes: --p, or
-    every prime up to --max for scan.
+    every prime up to --max for scan.  Their records are computed as the
+    iterator reaches them, so a caller that writes each one out holds one
+    at a time.
     """
     command = config.command
     if command == "descent":
         bounds = rank_bounds(CurveModel(config.a, config.b), config.height_bound)
-        records = [{"spec_version": SPEC_VERSION, "a": config.a, "b": config.b, **bounds._asdict()}]
+        return iter([{"spec_version": SPEC_VERSION, "a": config.a, "b": config.b, **bounds._asdict()}])
+    report = partial(
+        _report_record, height_bound=config.height_bound, columns=_SCHEMAS.get(command)
+    )
+    builders = {"classify": _classify_record, "selmer": _selmer_record, "repr": _repr_record}
+    row = {**builders, "rank": report, "scan": report}.get(command)
+    if row is None:
+        raise ValueError(f"unknown command {command!r}")
+    if command == "scan":
+        # the one list that grows with --max: 664 579 ints below 10^7
+        primes = primes_up_to(config.range_max) if config.range_max >= 2 else []
     else:
-        report = partial(
-            _report_record, height_bound=config.height_bound, columns=_SCHEMAS.get(command)
-        )
-        builders = {"classify": _classify_record, "selmer": _selmer_record, "repr": _repr_record}
-        row = {**builders, "rank": report, "scan": report}.get(command)
-        if row is None:
-            raise ValueError(f"unknown command {command!r}")
-        if command == "scan":
-            primes = primes_up_to(config.range_max) if config.range_max >= 2 else []
-        else:
-            primes = [config.p]
-        records = _map_primes(row, primes, config.parallelism)
-    bad = any(r.get("consistent") is False for r in records)
-    return records, (1 if bad else 0)
+        primes = [config.p]
+    return _map_primes(row, primes, config.parallelism)
 
 
 # ---------------------------------------------------------------------------
@@ -278,66 +301,107 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit(
-    records: list[dict],
+def _json_chunks(records: Iterable[dict], columns) -> Iterator[str]:
+    """json.dumps(list(records), indent=2) + "\n", one record at a time."""
+    encode = json.JSONEncoder(indent=2).encode
+    opening = "[\n  "
+    for rec in records:
+        yield opening + encode(rec).replace("\n", "\n  ")
+        opening = ",\n  "
+    yield "[]\n" if opening == "[\n  " else "\n]\n"
+
+
+def _csv_chunks(records: Iterable[dict], columns) -> Iterator[str]:
+    """The header (the first record's keys, else columns), then a row per record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    header = None
+    for rec in records:
+        if header is None:
+            header = tuple(rec)
+            writer.writerow(header)
+        writer.writerow(_csv_cell(rec.get(k)) for k in header)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    if header is None and columns:
+        writer.writerow(columns)
+        yield buf.getvalue()
+
+
+def _text_chunks(records: Iterable[dict], columns) -> Iterator[str]:
+    """The aligned table in one piece: its column widths need every row first."""
+    header, rows = columns or (), []
+    for rec in records:
+        if not rows:
+            header = tuple(rec)
+        rows.append([_csv_cell(rec.get(k)) for k in header])
+    if not header:
+        yield "(no records)\n"
+        return
+    widths = [max(len(k), *(len(row[i]) for row in rows)) if rows else len(k) for i, k in enumerate(header)]
+    lines = ("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in (header, *rows))
+    yield "\n".join(lines) + "\n"
+
+
+_CHUNKS = {"json": _json_chunks, "csv": _csv_chunks, "text": _text_chunks}
+
+
+def _write_chunks(out, chunks: Iterable[str]) -> int:
+    size = 0
+    for chunk in chunks:
+        data = memoryview(chunk.encode())
+        size += len(data)
+        while data:
+            # an unbuffered stdout (python -u) is a raw FileIO, which may
+            # take only part of a write
+            data = data[out.write(data):]
+    return size
+
+
+def write_records(
+    records: Iterable[dict],
     output_format: str,
     path: Optional[str] = None,
     columns: Optional[tuple[str, ...]] = None,
-) -> bytes:
-    """Serialize records; write-then-rename when a path is given, the file
-    getting mode 0o666 less the umask, as a newly created file would.
+) -> int:
+    """Serialize records as they arrive, one write per record (text: one
+    write in all), to path or else stdout; returns the bytes written.
 
-    columns supplies the header when the record list is empty.
+    A path gets write-then-rename, so a failure leaves no partial file;
+    the file gets mode 0o666 less the umask, as a newly created file
+    would.  columns supplies the header when there are no records.
     """
-    header = tuple(records[0].keys()) if records else (columns or ())
-    if output_format == "json":
-        data = (json.dumps(records, indent=2) + "\n").encode()
-    elif output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        if header:
-            writer.writerow(header)
-        for rec in records:
-            writer.writerow(_csv_cell(rec.get(k)) for k in header)
-        data = buf.getvalue().encode()
-    elif output_format == "text":
-        data = _text_table(records, header).encode()
-    else:
+    chunks = _CHUNKS.get(output_format)
+    if chunks is None:
         raise ValueError(f"unknown format {output_format!r}")
-    if path is not None:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isodescent-")
+    chunks = chunks(records, columns)
+    if path is None:
+        size = _write_chunks(sys.stdout.buffer, chunks)
+        sys.stdout.buffer.flush()
+        return size
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isodescent-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            size = _write_chunks(handle, chunks)
+        # mkstemp creates the file 0600 whatever the umask (which can
+        # only be read by setting it)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            # mkstemp creates the file 0600 whatever the umask (which can
-            # only be read by setting it)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    return data
-
-
-def _text_table(records: list[dict], header: tuple[str, ...]) -> str:
-    if not header:
-        return "(no records)\n"
-    rows = [[_csv_cell(rec.get(k)) for k in header] for rec in records]
-    widths = [max(len(k), *(len(row[i]) for row in rows)) if rows else len(k) for i, k in enumerate(header)]
-    lines = ["  ".join(k.ljust(widths[i]) for i, k in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return size
 
 
 def parse_records_csv(data: bytes) -> list[dict]:
-    """Inverse of emit(..., "csv"): restores the documented column types."""
+    """Inverse of write_records(..., "csv"): restores the documented column types."""
     rows = list(csv.reader(io.StringIO(data.decode())))
     if not rows:
         return []
@@ -347,16 +411,23 @@ def parse_records_csv(data: bytes) -> list[dict]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     config = parse_args(sys.argv[1:] if argv is None else argv)
-    records, code = execute(config)
+    inconsistent = False
+
+    def flagged(records: Iterator[dict]) -> Iterator[dict]:
+        nonlocal inconsistent
+        for rec in records:
+            inconsistent = inconsistent or rec.get("consistent") is False
+            yield rec
+
+    records = flagged(execute(config))
     try:
-        data = emit(records, config.output_format, config.output_path, _SCHEMAS.get(config.command))
+        # the records are computed while they are written: the exit code
+        # is known only once the last one is out
+        write_records(records, config.output_format, config.output_path, _SCHEMAS.get(config.command))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
-    if config.output_path is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    return code
+    return 1 if inconsistent else 0
 
 
 if __name__ == "__main__":

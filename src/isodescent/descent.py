@@ -203,7 +203,8 @@ def divisor_classes(b: int) -> list[int]:
     return sorted(d * s for d in divisors for s in (1, -1))
 
 
-@lru_cache(maxsize=4096)
+# each record asks for its curves' groups only while it is built
+@lru_cache(maxsize=64)
 def selmer(E: CurveModel) -> SelmerGroup:
     """Square classes b1 | b whose space of E is solvable at every bad place.
 

@@ -26,7 +26,7 @@ routes are provided:
     l = 2 units are recognized mod 8 by a walk over residues mod 8.
 
     solvable_at, the route the descent takes, asks solvable_padic once per
-    class of the form over Q_l and caches the verdict (4096 entries).  For
+    class of the form over Q_l and caches the verdict (256 entries).  For
     u, v in Q_l*, z -> u*z, w -> v*w takes (d1, c, d2) to
     (v^2*d1, u^2*v^2*c, u^4*v^2*d2) (Cremona, Algorithms for Modular
     Elliptic Curves, 3.5).  With u*v = 1 this fixes c and d1*d2, so the
@@ -386,7 +386,9 @@ def _question(q: QuarticForm, l: int) -> _PadicQuestion:
     return _PadicQuestion((l, q.c, _power_class(q.d1, l, 2), d1d2_class), q)
 
 
-@lru_cache(maxsize=4096)
+# a curve's two Selmer groups ask at most 16 + 8 * (odd bad places) questions,
+# and LRU keeps the Q_2 and Q_3 verdicts that every E_p shares
+@lru_cache(maxsize=256)
 def _padic_verdict(question: _PadicQuestion) -> bool:
     return solvable_padic(question.form, question.key[0])
 

@@ -1,22 +1,36 @@
+import csv
+import io
 import json
 import multiprocessing
 import os
 import stat
 import subprocess
 import sys
+import tracemalloc
+from functools import lru_cache
 
 import pytest
 
-from isodescent.arith import is_prime
+from isodescent.arith import is_prime, primes_up_to
 from isodescent.cli import (
     RunConfig,
     _SCHEMAS,
-    emit,
+    _report_record,
     execute,
     main,
     parse_args,
     parse_records_csv,
+    write_records,
 )
+
+
+def emitted(records, fmt: str, capsysbinary, columns=None) -> bytes:
+    """What write_records puts on stdout for records."""
+    capsysbinary.readouterr()
+    size = write_records(records, fmt, columns=columns)
+    out = capsysbinary.readouterr().out
+    assert size == len(out)
+    return out
 
 
 def run_cli(args: list[str], timeout: float = 600) -> subprocess.CompletedProcess:
@@ -58,15 +72,14 @@ class TestParseArgs:
 
 class TestExecute:
     def test_rank_seven(self):
-        records, code = execute(RunConfig(command="rank", p=7, height_bound=10))
-        assert code == 0
+        records = list(execute(RunConfig(command="rank", p=7, height_bound=10)))
         rec = records[0]
         assert rec["upper"] == 0 and rec["lower"] == 0
         assert rec["theorem_bound"] == "exact 0"
         assert rec["consistent"] is True
 
     def test_rank_record_schema(self):
-        records, _ = execute(RunConfig(command="rank", p=7, height_bound=5))
+        records = list(execute(RunConfig(command="rank", p=7, height_bound=5)))
         keys = set(records[0])
         assert {
             "p",
@@ -84,85 +97,80 @@ class TestExecute:
         assert records[0]["spec_version"] == 1
 
     def test_repr_1601(self):
-        records, code = execute(RunConfig(command="repr", p=1601))
-        assert code == 0
+        records = list(execute(RunConfig(command="repr", p=1601)))
         rec = records[0]
         assert (rec["repr_3p_a"], rec["repr_3p_b"]) == (1, 7)
         assert rec["repr_p_a"] is None
 
     def test_scan_hundred(self):
-        records, code = execute(
-            RunConfig(command="scan", range_max=100, height_bound=60, parallelism=1)
+        records = list(
+            execute(RunConfig(command="scan", range_max=100, height_bound=60, parallelism=1))
         )
-        assert code == 0
         assert len(records) == 25
         assert all(rec["consistent"] for rec in records)
         assert [rec["p"] for rec in records] == sorted(rec["p"] for rec in records)
 
     def test_selmer_symbolic(self):
-        records, code = execute(RunConfig(command="selmer", p=19249))
-        assert code == 0
+        records = list(execute(RunConfig(command="selmer", p=19249)))
         rec = records[0]
         assert rec["psibar_symbolic"] == "1 2 3 6 p 2p 3p 6p"
         assert rec["consistent"] is True
 
     def test_classify(self):
-        records, _ = execute(RunConfig(command="classify", p=1217))
+        records = list(execute(RunConfig(command="classify", p=1217)))
         assert records[0]["quartic2"] == 1
         assert records[0]["theorem_bound"] == "<=1"
 
     def test_descent_arbitrary_curve(self):
-        records, code = execute(
-            RunConfig(command="descent", a=0, b=4, height_bound=20)
-        )
-        assert code == 0
+        records = list(execute(RunConfig(command="descent", a=0, b=4, height_bound=20)))
         assert records[0]["upper"] == 0
 
 
 class TestEmit:
-    def test_empty_csv_is_header_only(self):
-        data = emit([], "csv", columns=_SCHEMAS["scan"])
+    def test_empty_csv_is_header_only(self, capsysbinary):
+        data = emitted([], "csv", capsysbinary, columns=_SCHEMAS["scan"])
         assert data.decode().strip() == ",".join(_SCHEMAS["scan"])
 
-    def test_json_round_trip(self):
-        records, _ = execute(RunConfig(command="rank", p=7, height_bound=5))
-        parsed = json.loads(emit(records, "json"))
+    def test_json_round_trip(self, capsysbinary):
+        records = list(execute(RunConfig(command="rank", p=7, height_bound=5)))
+        parsed = json.loads(emitted(records, "json", capsysbinary))
         assert parsed == records
 
-    def test_csv_round_trip(self):
-        records, _ = execute(
-            RunConfig(command="scan", range_max=30, height_bound=30, parallelism=1)
+    def test_csv_round_trip(self, capsysbinary):
+        records = list(
+            execute(RunConfig(command="scan", range_max=30, height_bound=30, parallelism=1))
         )
-        parsed = parse_records_csv(emit(records, "csv"))
+        parsed = parse_records_csv(emitted(records, "csv", capsysbinary))
         assert parsed == records
 
-    def test_csv_quartic2_none_round_trips(self):
-        records, _ = execute(RunConfig(command="classify", p=7))
-        parsed = parse_records_csv(emit(records, "csv"))
+    def test_csv_quartic2_none_round_trips(self, capsysbinary):
+        records = list(execute(RunConfig(command="classify", p=7)))
+        parsed = parse_records_csv(emitted(records, "csv", capsysbinary))
         assert parsed[0]["quartic2"] is None
 
-    def test_deterministic_bytes(self):
-        records, _ = execute(RunConfig(command="rank", p=11, height_bound=10))
+    def test_deterministic_bytes(self, capsysbinary):
+        records = list(execute(RunConfig(command="rank", p=11, height_bound=10)))
         for fmt in ("json", "csv", "text"):
-            assert emit(records, fmt) == emit(records, fmt)
+            assert emitted(records, fmt, capsysbinary) == emitted(records, fmt, capsysbinary)
 
-    def test_write_then_rename(self, tmp_path):
+    def test_write_then_rename(self, tmp_path, capsysbinary):
         target = tmp_path / "out.csv"
-        records, _ = execute(RunConfig(command="classify", p=7))
-        data = emit(records, "csv", path=str(target))
-        assert target.read_bytes() == data
+        records = list(execute(RunConfig(command="classify", p=7)))
+        size = write_records(records, "csv", path=str(target))
+        assert target.read_bytes() == emitted(records, "csv", capsysbinary)
+        assert size == target.stat().st_size
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".isodescent-")]
         assert leftovers == []
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
     def test_file_mode_follows_umask(self, tmp_path, umask, mode):
         target = tmp_path / "out.json"
-        records, _ = execute(RunConfig(command="classify", p=7))
+        records = list(execute(RunConfig(command="classify", p=7)))
         previous = os.umask(umask)
         try:
             # a new file, then the same file overwritten
             for _ in range(2):
-                emit(records, "json", path=str(target))
+                write_records(records, "json", path=str(target))
                 assert stat.S_IMODE(target.stat().st_mode) == mode
         finally:
             os.umask(previous)
@@ -249,7 +257,7 @@ class TestMainExitCodes:
 
 
 class TestInconsistencyExitCode:
-    def test_exit_one_and_record_still_emitted(self, monkeypatch):
+    def test_exit_one_and_record_still_emitted(self, monkeypatch, capsysbinary):
         # forge a disagreement by swapping in the wrong closed form
         import isodescent.cli as cli_mod
         from isodescent.family import closed_form_selmer_psibar
@@ -257,15 +265,16 @@ class TestInconsistencyExitCode:
         monkeypatch.setattr(
             cli_mod, "closed_form_selmer_psibar", lambda p: closed_form_selmer_psibar(5)
         )
-        records, code = execute(RunConfig(command="selmer", p=7))
-        assert code == 1
+        assert main(["selmer", "--p", "7", "--format", "json"]) == 1
+        records = json.loads(capsysbinary.readouterr().out)
         assert records and records[0]["consistent"] is False
 
 
 class FakePool:
-    """Records the process count asked for and maps serially."""
+    """Records the process count and chunk size asked for and maps serially."""
 
     sizes: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, processes):
         FakePool.sizes.append(processes)
@@ -279,6 +288,10 @@ class FakePool:
     def map(self, fn, items):
         return [fn(item) for item in items]
 
+    def imap(self, fn, items, chunksize=1):
+        FakePool.chunksizes.append(chunksize)
+        return map(fn, items)
+
 
 class TestPoolClamp:
     @pytest.mark.parametrize(
@@ -289,17 +302,54 @@ class TestPoolClamp:
         import isodescent.cli as cli_mod
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        # the first source of the count (Python 3.13+; None when unknown)
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: cpus, raising=False)
         monkeypatch.setattr(FakePool, "sizes", [])
         config = RunConfig(command="scan", range_max=range_max, height_bound=5, parallelism=64)
-        records, code = execute(config)
-        assert code == 0 and records
+        records = list(execute(config))
+        assert records and all(r["consistent"] for r in records)
         assert FakePool.sizes == expected
+
+    @pytest.mark.parametrize("source", ["process_cpu_count", "sched_getaffinity", "cpu_count"])
+    def test_affinity_smaller_than_cpu_count(self, monkeypatch, source):
+        # one usable CPU of two: the default --jobs and the clamp both give
+        # one, so no pool starts; without an affinity API cpu_count is all
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+        if source == "process_cpu_count":
+            monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 1, raising=False)
+        else:
+            monkeypatch.delattr(cli_mod.os, "process_cpu_count", raising=False)
+        if source == "sched_getaffinity":
+            monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif source == "cpu_count":
+            monkeypatch.delattr(cli_mod.os, "sched_getaffinity", raising=False)
+        usable = 2 if source == "cpu_count" else 1
+        assert parse_args(["scan", "--max", "30"]).parallelism == usable
+        list(execute(RunConfig(command="scan", range_max=30, height_bound=5, parallelism=2)))
+        assert FakePool.sizes == ([2] if usable == 2 else [])
+
+    @pytest.mark.parametrize("range_max,jobs,chunksize", [(30, 2, 2), (200, 4, 3), (3000, 2, 54), (5000, 2, 64)])
+    def test_chunk_size_is_pool_maps_up_to_a_cap(self, monkeypatch, range_max, jobs, chunksize):
+        # ceil(n / (4 * jobs)), the chunk size Pool.map picks for n primes,
+        # but at most 64 records wait in any one chunk
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(FakePool, "chunksizes", [])
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: jobs, raising=False)
+        monkeypatch.setattr(cli_mod, "_report_record", lambda p, height_bound, columns: {"p": p})
+        records = list(execute(RunConfig(command="scan", range_max=range_max, parallelism=jobs)))
+        assert FakePool.chunksizes == [chunksize]
+        assert [r["p"] for r in records] == primes_up_to(range_max)
 
     def test_rank_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(FakePool, "sizes", [])
-        records, _ = execute(RunConfig(command="rank", p=7, height_bound=5, parallelism=64))
+        records = list(execute(RunConfig(command="rank", p=7, height_bound=5, parallelism=64)))
         assert [r["p"] for r in records] == [7]
         assert FakePool.sizes == []
 
@@ -318,9 +368,8 @@ class TestOnePath:
         import isodescent.cli as cli_mod
 
         monkeypatch.setattr(multiprocessing, "Pool", refuse_pool)
-        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
-        records, code = execute(RunConfig(command=command, p=1217, parallelism=4))
-        assert code == 0
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 4, raising=False)
+        records = list(execute(RunConfig(command=command, p=1217, parallelism=4)))
         assert [r["p"] for r in records] == [1217]
 
     @pytest.mark.parametrize("command", ["classify", "selmer"])
@@ -335,8 +384,8 @@ class TestOnePath:
 
         monkeypatch.setattr(family_mod, "is_prime", counting_is_prime)
         family_mod.classify.cache_clear()
-        records, code = execute(RunConfig(command=command, p=1217))
-        assert code == 0
+        records = list(execute(RunConfig(command=command, p=1217)))
+        assert [r["p"] for r in records] == [1217]
         assert calls == [1217]
 
 
@@ -360,11 +409,76 @@ class TestImports:
 
 class TestScanDeterminism:
     def test_jobs_equivalence(self):
-        seq, code1 = execute(
-            RunConfig(command="scan", range_max=60, height_bound=40, parallelism=1)
-        )
-        par, code2 = execute(
-            RunConfig(command="scan", range_max=60, height_bound=40, parallelism=4)
-        )
-        assert code1 == code2 == 0
-        assert emit(seq, "csv") == emit(par, "csv")
+        seq = list(execute(RunConfig(command="scan", range_max=60, height_bound=40, parallelism=1)))
+        par = list(execute(RunConfig(command="scan", range_max=60, height_bound=40, parallelism=4)))
+        assert all(r["consistent"] for r in seq)
+        assert seq == par
+
+
+# --max giving no scan record, one, and many (17)
+SCAN_MAX = {"empty": 1, "one": 2, "many": 60}
+
+
+@lru_cache(maxsize=None)
+def scan_records(size: str) -> tuple:
+    config = RunConfig(command="scan", range_max=SCAN_MAX[size], height_bound=20, parallelism=1)
+    return tuple(execute(config))
+
+
+def reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def reference_bytes(records: list, fmt: str) -> bytes:
+    """The whole output built from the whole record list."""
+    if fmt == "json":
+        return (json.dumps(records, indent=2) + "\n").encode()
+    header = tuple(records[0]) if records else _SCHEMAS["scan"]
+    rows = [[reference_cell(rec[k]) for k in header] for rec in records]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerows([header, *rows])
+        return buf.getvalue().encode()
+    widths = [max(len(cell) for cell in column) for column in zip(header, *rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in [header, *rows]]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("sink", ["stdout", "out"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("size", list(SCAN_MAX))
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_same_bytes_as_the_whole_list(self, fmt, size, jobs, sink, tmp_path, capsysbinary):
+        target = tmp_path / "scan.out"
+        argv = ["scan", "--max", str(SCAN_MAX[size]), "--height-bound", "20", "--jobs", str(jobs), "--format", fmt]
+        assert main([*argv, "--out", str(target)] if sink == "out" else argv) == 0
+        out = capsysbinary.readouterr().out
+        if sink == "out":
+            assert out == b""
+            out = target.read_bytes()
+        assert out == reference_bytes(list(scan_records(size)), fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_memory_flat(self, fmt, tmp_path):
+        # 20 000 scan records, made one at a time: the writer holds none of
+        # them (the whole-output writer this replaced peaked at 67.7 MiB
+        # for json and 3.8 MiB for csv, not counting the record list)
+        template = _report_record(1217, 60, _SCHEMAS["scan"])
+        records = (dict(template, p=p) for p in range(20_000))
+        target = tmp_path / "scan.out"
+        tracemalloc.start()
+        try:
+            size = write_records(records, fmt, path=str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert size == target.stat().st_size
+        data = target.read_bytes()
+        count = len(json.loads(data)) if fmt == "json" else data.count(b"\r\n") - 1
+        assert count == 20_000

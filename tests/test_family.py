@@ -270,6 +270,37 @@ class TestVerifyPrime:
             family_mod.verify_prime(p, 10)
             assert calls == [p]
 
+    def test_miller_rabin_once_per_argument(self, monkeypatch):
+        # the factorizations, places and symbols of one verification test
+        # the same primes again and again; each check still runs, but each
+        # distinct n reaches the Miller-Rabin body once
+        import isodescent.arith as arith_mod
+        import isodescent.descent as descent_mod
+        import isodescent.family as family_mod
+        import isodescent.local as local_mod
+
+        runs = []
+
+        def counting_pow(base, exp, mod=None):
+            # the body's first pow: witness 2 to the odd part of n - 1
+            if base == 2 and mod is not None and exp == (mod - 1) >> arith_mod._vl(mod - 1, 2):
+                runs.append(mod)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(arith_mod, "pow", counting_pow, raising=False)
+        for cache in (
+            arith_mod.is_prime,
+            arith_mod._factorization,
+            family_mod.classify,
+            descent_mod.bad_places,
+            descent_mod.selmer,
+            local_mod._padic_verdict,
+        ):
+            cache.cache_clear()
+        assert family_mod.verify_prime(1043113, 60).consistent
+        assert 1043113 in runs
+        assert len(runs) == len(set(runs))
+
     @pytest.mark.parametrize(
         "fn", [verify_prime, classify, curve_for_prime, closed_form_selmer_psibar, closed_form_selmer_psi, theorem_bound]
     )
