@@ -247,6 +247,14 @@ def _usable_cpus() -> int:
 _MAX_CHUNK = 64
 
 
+def _default_sigterm() -> None:
+    """Pool initializer: a forked worker would inherit the handler that
+    write_records sets; SIGTERM from Pool.terminate must simply end it."""
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _map_primes(fn, primes: list[int], jobs: int) -> Iterator[dict]:
     """fn over primes, lazily and in order; at most one process per usable
     CPU and per prime, and a pool hands out the chunks Pool.map would, up
@@ -258,7 +266,7 @@ def _map_primes(fn, primes: list[int], jobs: int) -> Iterator[dict]:
     import multiprocessing
 
     chunksize = min(-(-len(primes) // (4 * jobs)), _MAX_CHUNK)
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(jobs, initializer=_default_sigterm) as pool:
         yield from pool.imap(fn, primes, chunksize)
 
 
@@ -359,6 +367,14 @@ def _write_chunks(out, chunks: Iterable[str]) -> int:
     return size
 
 
+class _Terminated(BaseException):
+    """SIGTERM arrived while write_records held its temp file."""
+
+
+def _raise_terminated(signum, frame) -> None:
+    raise _Terminated
+
+
 def write_records(
     records: Iterable[dict],
     output_format: str,
@@ -370,7 +386,9 @@ def write_records(
 
     A path gets write-then-rename, so a failure leaves no partial file;
     the file gets mode 0o666 less the umask, as a newly created file
-    would.  columns supplies the header when there are no records.
+    would.  A SIGTERM meanwhile removes the temp file, then ends the
+    process by that signal.  columns supplies the header when there are
+    no records.
     """
     chunks = _CHUNKS.get(output_format)
     if chunks is None:
@@ -380,9 +398,17 @@ def write_records(
         size = _write_chunks(sys.stdout.buffer, chunks)
         sys.stdout.buffer.flush()
         return size
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isodescent-")
+    import signal
+    import threading
+
+    # SIGTERM raises while the temp file may exist, so that the cleanup
+    # below runs; only the main thread may set a handler
+    handled = threading.current_thread() is threading.main_thread()
+    if handled:
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".isodescent-")
         with os.fdopen(fd, "wb") as handle:
             size = _write_chunks(handle, chunks)
         # mkstemp creates the file 0600 whatever the umask (which can
@@ -391,12 +417,20 @@ def write_records(
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, _Terminated):
+            # end by the signal, as an unhandled SIGTERM would (status 143)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.raise_signal(signal.SIGTERM)
         raise
+    finally:
+        if handled:
+            signal.signal(signal.SIGTERM, previous)
     return size
 
 

@@ -29,6 +29,7 @@ from .local import (
     INFINITY,
     Place,
     QuarticForm,
+    _GroupVerdicts,
     solvable_everywhere_locally,
 )
 
@@ -203,30 +204,62 @@ def divisor_classes(b: int) -> list[int]:
     return sorted(d * s for d in divisors for s in (1, -1))
 
 
+def _subset_products(gens: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(product, XOR of class vectors) over the subsets of gens, a list of
+    (generator, class vector); the subset of entry i is the bits of i."""
+    out = [(1, 0)]
+    for g, v in gens:
+        out += [(p * g, w ^ v) for p, w in out]
+    return out
+
+
 # each record asks for its curves' groups only while it is built
 @lru_cache(maxsize=64)
 def selmer(E: CurveModel) -> SelmerGroup:
     """Square classes b1 | b whose space of E is solvable at every bad place.
 
     This is S[psibar] of E; S[psi] of E is selmer(dual_curve(E)).  The
-    result is checked to be a subgroup containing 1 and the class of b.
+    candidates b1 are the products of the subsets of -1 and the primes of
+    b, and their classes in Q_v*/Q_v*^2 at the bad places are vectors
+    over F_2, so each b1 and its class vector cost one multiplication and
+    one XOR of the products of two halves of the generators.  The verdict
+    of a place depends only on the class of b1 there (see local), so each
+    place decides each of its at most 8 classes once, for the first
+    candidate that has it.  The result is checked to contain 1 and the
+    class of b, and to be a subgroup: the accepted subsets number
+    2^(rank of their span).
     """
-    places = bad_places(E)
-    classes = frozenset(
-        b1
-        for b1 in divisor_classes(E.b)
-        if solvable_everywhere_locally(QuarticForm(b1, E.a, E.b // b1), places)
-    )
-    torsion_class = squarefree_class(E.b)
+    a, b = E
+    verdicts = _GroupVerdicts(bad_places(E), a, b)
+    gens = [(g, verdicts.class_vector(g)) for g in [-1] + [p for p, _ in _factorization(abs(b))]]
+    # two halves, so that the lists grow like 2^(omega/2); the subset of a
+    # candidate is the index bits of its two factors
+    k = len(gens) // 2
+    low, high = _subset_products(gens[:k]), _subset_products(gens[k:])
+    accepted = {}
+    for i, (b_high, v_high) in enumerate(high):
+        for j, (b_low, v_low) in enumerate(low):
+            b1 = b_high * b_low
+            if solvable_everywhere_locally(QuarticForm(b1, a, b // b1), verdicts, v_high ^ v_low):
+                accepted[i << k | j] = b1
+    classes = frozenset(accepted.values())
+    torsion_class = squarefree_class(b)
     if 1 not in classes or torsion_class not in classes:
         raise InternalConsistencyError(
             f"Selmer set {sorted(classes)} is missing a guaranteed class"
         )
-    for u, v in itertools.combinations(classes, 2):
-        if class_product(u, v) not in classes:
-            raise InternalConsistencyError(
-                f"Selmer set {sorted(classes)} is not closed: {u}*{v} escapes"
-            )
+    # an F_2 basis of the accepted subsets: each new vector loses the
+    # leading bit of every earlier one
+    basis: list[int] = []
+    for v in accepted:
+        for u in basis:
+            v = min(v, v ^ u)
+        if v:
+            basis.append(v)
+    if len(accepted) != 1 << len(basis):
+        raise InternalConsistencyError(
+            f"Selmer set {sorted(classes)} is not closed: it spans 2^{len(basis)} classes"
+        )
     return SelmerGroup(classes)
 
 
@@ -242,19 +275,27 @@ _SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29)
 _BLOCK_BITS = 4096
 
 
+# keyed by residues only: a = 0 on every E_p and its dual, so most classes
+# of a scan share their rows with an earlier curve; rows of the full block
+# width fill about 5 KiB an entry, so the cache holds at most about 5 MiB
 @lru_cache(maxsize=1024)
-def _square_masks(q: int, b1: int, a: int, d2: int) -> tuple[int, ...]:
-    """Entry r is the q-bit mask of the residues s with
-    b1*r^4 + a*s^2*r^2 + d2*s^4 a square mod q (coefficients mod q).
+def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[int, ...]:
+    """Entry r is the nbits-bit row whose bit j is set when m = m0 + j
+    makes b1*r^4 + a*m^2*r^2 + d2*m^4 a square mod q (all arguments but
+    nbits taken mod q): the row of every denominator e = r (mod q).
 
     Entries r and q - r are the same object: the value depends on r^2.
     """
     sq = [s * s % q for s in range(q)]
     squares = set(sq)
+    repeat = ((1 << (nbits // q + 2) * q) - 1) // ((1 << q) - 1)  # 1 every q bits
+    full = (1 << nbits) - 1
     half = []
     for r2 in sq[: q // 2 + 1]:
         c0, c1 = b1 * r2 * r2, a * r2
-        half.append(sum(1 << s for s, s2 in enumerate(sq) if (c0 + (c1 + d2 * s2) * s2) % q in squares))
+        mask = sum(1 << s for s, s2 in enumerate(sq) if (c0 + (c1 + d2 * s2) * s2) % q in squares)
+        # repeated past nbits + q bits, then shifted so bit j is residue m0 + j
+        half.append(mask * repeat >> m0 & full)
     return tuple(half + half[1 : (q + 1) // 2][::-1])
 
 
@@ -266,10 +307,11 @@ def _search_class(
 
     A square sieve in the style of ratpoints.  For each denominator e the
     candidate numerators form a bitset row of _BLOCK_BITS bits at a time:
-    the AND, over the moduli q of _SIEVE_MODULI, of the periodic masks of
-    the m for which b1*e^4 + a*m^2*e^2 + d2*m^4 is a square mod q.  A
-    square integer is a square mod every q, so no hit is sieved out, and
-    each surviving m gets the exact gcd and isqrt test.  Blocks are
+    the AND, over the moduli q of _SIEVE_MODULI, of the rows (_sieve_rows,
+    shared by every class with the same residues) of the m for which
+    b1*e^4 + a*m^2*e^2 + d2*m^4 is a square mod q.  A square integer is a
+    square mod every q, so no hit is sieved out, and each surviving m
+    gets the exact gcd and isqrt test.  Blocks are
     visited in rings of increasing max(block of m, block of e), so memory
     does not grow with the height bound.
 
@@ -279,19 +321,15 @@ def _search_class(
     """
     a, d2 = curve.a, curve.b // b1
     width = min(_BLOCK_BITS, height_bound)
-    # each mask repeated over width + q bits: shifted right by m0 mod q,
-    # bit j stands for the numerator m0 + j, whatever the block start m0
-    periodic = []
-    for q in _SIEVE_MODULI:
-        repeat = ((1 << (width // q + 2) * q) - 1) // ((1 << q) - 1)  # 1 every q bits
-        periodic.append((q, [mask * repeat for mask in _square_masks(q, b1 % q, a % q, d2 % q)]))
+    residues = [(q, b1 % q, a % q, d2 % q) for q in _SIEVE_MODULI]
     for ring in range(-(-height_bound // width)):
         # the blocks (i, j) of m and e with max(i, j) = ring
         outer = itertools.chain(((ring, j) for j in range(ring + 1)), ((i, ring) for i in range(ring)))
         for i, j in outer:
             m0 = i * width + 1
-            full = (1 << (min(m0 + width, height_bound + 1) - m0)) - 1
-            sieve = [(q, [pattern >> m0 % q & full for pattern in patterns]) for q, patterns in periodic]
+            nbits = min(width, height_bound + 1 - m0)
+            full = (1 << nbits) - 1
+            sieve = [(q, _sieve_rows(q, b1q, aq, d2q, m0 % q, nbits)) for q, b1q, aq, d2q in residues]
             for e in range(j * width + 1, min((j + 1) * width, height_bound) + 1):
                 row = full
                 for q, masks in sieve:

@@ -25,18 +25,23 @@ routes are provided:
     otherwise Weil's bound guarantees a square value once l >= 17.  At
     l = 2 units are recognized mod 8 by a walk over residues mod 8.
 
-    solvable_at, the route the descent takes, asks solvable_padic once per
-    class of the form over Q_l and caches the verdict (256 entries).  For
-    u, v in Q_l*, z -> u*z, w -> v*w takes (d1, c, d2) to
-    (v^2*d1, u^2*v^2*c, u^4*v^2*d2) (Cremona, Algorithms for Modular
-    Elliptic Curves, 3.5).  With u*v = 1 this fixes c and d1*d2, so the
-    verdict depends only on l, c, d1*d2 and the class of d1 in
-    Q_l*/Q_l*^2.  When c = 0 any u, v will do, and the class of d1 in
-    Q_l*/Q_l*^2 with that of d1*d2 in Q_l*/Q_l*^4 fix the form exactly.
-    So one Selmer group costs at most 8 + 4*(number of odd bad places)
+    The descent asks solvable_padic once per class of the form over Q_l
+    and caches the verdict (256 entries).  For u, v in Q_l*, z -> u*z,
+    w -> v*w takes (d1, c, d2) to (v^2*d1, u^2*v^2*c, u^4*v^2*d2)
+    (Cremona, Algorithms for Modular Elliptic Curves, 3.5).  With u*v = 1
+    this fixes c and d1*d2, so the verdict depends only on l, c, d1*d2
+    and the class of d1 in Q_l*/Q_l*^2.  When c = 0 any u, v will do, and
+    the class of d1 in Q_l*/Q_l*^2 with that of d1*d2 in Q_l*/Q_l*^4 fix
+    the form exactly.  So a question is keyed by (l, c, d1*d2 or its
+    class mod fourth powers, the class bits of d1), where the class bits
+    (_square_class_bits) write Q_v*/Q_v*^2 as a vector over F_2.  One
+    Selmer group costs at most 8 + 4*(number of odd bad places)
     solvable_padic calls, and the c = 0 spaces of different curves share
     their verdicts: all E_p : y^2 = x^3 + 18p^2x with p > 3 ask the same
     32 Q_2 and 8 Q_3 questions at most, over both sides.
+    The spaces of one Selmer group share c and d1*d2, so its places
+    (_GroupVerdicts) keep a table of verdicts indexed by the class bits of
+    d1, and each class is decided once per group.
 
   * brute_oracle: a breadth-first residue search that only ever reports a
     definite answer with a certificate (an exact Z_l-square value, or a
@@ -53,7 +58,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .arith import _vl, is_prime
 
@@ -72,7 +77,9 @@ class QuarticForm(NamedTuple("QuarticForm", [("d1", int), ("c", int), ("d2", int
             raise ValueError("quartic form requires d1 != 0 and d2 != 0")
         if c * c == 4 * d1 * d2:
             raise ValueError("degenerate quartic form: c^2 = 4*d1*d2")
-        return super().__new__(cls, d1, c, d2)
+        # the tuple itself, without the generated __new__ of NamedTuple:
+        # selmer builds one form per candidate
+        return tuple.__new__(cls, (d1, c, d2))
 
     def reciprocal(self) -> "QuarticForm":
         return QuarticForm(self.d2, self.c, self.d1)
@@ -360,12 +367,28 @@ def _power_class(n: int, l: int, k: int) -> tuple[int, int]:
     return v % k, pow(unit % l, (l - 1) // gcd(k, l - 1), l)
 
 
+def _square_class_bits(n: int, l: Optional[int]) -> int:
+    """The class of the nonzero integer n in Q_v*/Q_v*^2 as a vector over
+    F_2, so that the bits of m*n are those of m XOR those of n: at the
+    real place (l None) whether n < 0; at a prime l, bit 0 is v_l(n) mod 2
+    and the rest tell the unit part u: at odd l bit 1 is set when u is a
+    non-residue (Euler's criterion), at l = 2 bit 1 when u = 3 (mod 4) and
+    bit 2 when u = +-3 (mod 8)."""
+    if l is None:
+        return int(n < 0)
+    v = _vl(n, l)
+    unit = n // l**v
+    if l == 2:
+        return v & 1 | (unit % 4 == 3) << 1 | (unit % 8 in (3, 5)) << 2
+    return v & 1 | (pow(unit % l, (l - 1) // 2, l) != 1) << 1
+
+
 class _PadicQuestion:
-    """One Q_l question, keyed by (l, c, class of d1 in Q_l*/Q_l*^2, d1*d2):
-    d1*d2 exactly when c != 0, by its class in Q_l*/Q_l*^4 when c = 0.
-    These fix the form up to isomorphism over Q_l (see the module
-    docstring).  The form is the representative that gets decided and
-    takes no part in equality or hashing."""
+    """One Q_l question, keyed by (l, c, d1*d2 or its class, class bits of
+    d1 in Q_l*/Q_l*^2): d1*d2 exactly when c != 0, by its class in
+    Q_l*/Q_l*^4 when c = 0.  These fix the form up to isomorphism over
+    Q_l (see the module docstring).  The form is the representative that
+    gets decided and takes no part in equality or hashing."""
 
     __slots__ = ("key", "form")
 
@@ -380,10 +403,13 @@ class _PadicQuestion:
         return hash(self.key)
 
 
+def _fixed_key(l: int, c: int, d1d2: int) -> tuple:
+    """The part of a question's key that the forms (d1, c, d1d2/d1) share."""
+    return l, c, _power_class(d1d2, l, 4) if c == 0 else d1d2
+
+
 def _question(q: QuarticForm, l: int) -> _PadicQuestion:
-    d1d2 = q.d1 * q.d2
-    d1d2_class = _power_class(d1d2, l, 4) if q.c == 0 else d1d2
-    return _PadicQuestion((l, q.c, _power_class(q.d1, l, 2), d1d2_class), q)
+    return _PadicQuestion((*_fixed_key(l, q.c, q.d1 * q.d2), _square_class_bits(q.d1, l)), q)
 
 
 # a curve's two Selmer groups ask at most 16 + 8 * (odd bad places) questions,
@@ -401,17 +427,62 @@ def solvable_at(q: QuarticForm, place: Place) -> bool:
     return _padic_verdict(_question(q, place.prime))
 
 
-def solvable_everywhere_locally(q: QuarticForm, places: Iterable[Place]) -> bool:
+def _class_decider(place: Place, c: int, d1d2: int) -> Callable[[QuarticForm, int], bool]:
+    """decide(q, bits): whether q = (d1, c, d1d2/d1), where d1 has the
+    class bits at place, has a point over the completion there."""
+    if place.is_infinite:
+        return lambda q, bits: solvable_real(q)
+    fixed = _fixed_key(place.prime, c, d1d2)
+    return lambda q, bits: _padic_verdict(_PadicQuestion((*fixed, bits), q))
+
+
+class _GroupVerdicts:
+    """The places of the forms (d1, c, d1d2/d1) that share c and d1*d2, as
+    the spaces of one Selmer group do, in the canonical order (infinity
+    first, then ascending primes).  Each place has a table of at most 8
+    verdicts indexed by the class bits of d1 there, one verdict per class.
+    A slot is decided on first use: by solvable_real at infinity, and at a
+    prime through the cache shared by all curves, under a key whose part
+    fixed by (l, c, d1*d2) is built once per place."""
+
+    __slots__ = ("places", "tables")
+
+    def __init__(self, places: Iterable[Place], c: int, d1d2: int) -> None:
+        self.places = sorted(places, key=lambda pl: -1 if pl.is_infinite else pl.prime)
+        if not self.places:
+            raise ValueError("solvable_everywhere_locally requires a nonempty place set")
+        # (shift of the place's bits in a class vector, verdicts, decider)
+        self.tables = [(3 * i, [None] * 8, _class_decider(pl, c, d1d2)) for i, pl in enumerate(self.places)]
+
+    def class_vector(self, n: int) -> int:
+        """The class bits of n at every place, 3 bits a place: the vector
+        of m*n is the XOR of those of m and of n."""
+        return sum(_square_class_bits(n, pl.prime) << 3 * i for i, pl in enumerate(self.places))
+
+
+def solvable_everywhere_locally(
+    q: QuarticForm, places: Iterable[Place] | _GroupVerdicts, vector: Optional[int] = None
+) -> bool:
     """Conjunction of local solvability over the given places.
 
     Short-circuits on the first failing place; places are visited in a
     canonical order (infinity first, then ascending primes) so the result
-    is reproducible.
+    is reproducible.  places may be the _GroupVerdicts of q's c and d1*d2,
+    and vector the class vector of q.d1 there: then each place reads the
+    verdict of that class from its table, and decides it on first use.
     """
-    ordered = sorted(places, key=lambda pl: (-1 if pl.prime is None else pl.prime))
-    if not ordered:
-        raise ValueError("solvable_everywhere_locally requires a nonempty place set")
-    return all(solvable_at(q, pl) for pl in ordered)
+    if not isinstance(places, _GroupVerdicts):
+        places = _GroupVerdicts(places, q.c, q.d1 * q.d2)
+    if vector is None:
+        vector = places.class_vector(q.d1)
+    for shift, table, decide in places.tables:
+        bits = vector >> shift & 7
+        verdict = table[bits]
+        if verdict is None:
+            verdict = table[bits] = decide(q, bits)
+        if not verdict:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import lru_cache
 
@@ -276,7 +278,7 @@ class FakePool:
     sizes: list[int] = []
     chunksizes: list[int] = []
 
-    def __init__(self, processes):
+    def __init__(self, processes, initializer=None):
         FakePool.sizes.append(processes)
 
     def __enter__(self):
@@ -354,7 +356,7 @@ class TestPoolClamp:
         assert FakePool.sizes == []
 
 
-def refuse_pool(processes):
+def refuse_pool(processes, initializer=None):
     raise AssertionError(f"a one-prime command asked for a pool of {processes}")
 
 
@@ -482,3 +484,29 @@ class TestStreaming:
         data = target.read_bytes()
         count = len(json.loads(data)) if fmt == "json" else data.count(b"\r\n") - 1
         assert count == 20_000
+
+
+class TestTerminatedOut:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sigterm_leaves_no_temp_file(self, jobs, tmp_path):
+        # a scan that runs far longer than the test waits; SIGTERM while its
+        # records stream into the temp file must remove that file and still
+        # end the process by the signal, pool workers included
+        argv = ["scan", "--max", "200000", "--height-bound", "20", "--format", "csv", "--jobs", str(jobs)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isodescent.cli", *argv, "--out", "F.csv"],
+            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            start = time.monotonic()
+            while not any(f.stat().st_size for f in tmp_path.glob(".isodescent-*")):
+                assert proc.poll() is None and time.monotonic() - start < 60
+                time.sleep(0.05)
+            time.sleep(0.5)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == -signal.SIGTERM
+        assert err == b""
+        assert sorted(f.name for f in tmp_path.iterdir()) == []

@@ -5,7 +5,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from unittest import mock
 
 import pytest
@@ -230,6 +230,43 @@ class TestSelmerVerdictCache:
         assert calls[2] <= 64
         assert calls[3] <= 16
 
+    def test_every_family_curve_up_to_2000(self):
+        local._padic_verdict.cache_clear()
+        for p in primes_up_to(2000):
+            E = CurveModel(0, 18 * p * p)
+            for curve in (E, dual_curve(E)):
+                assert selmer.__wrapped__(curve).classes == reference_selmer(curve, bad_places(E)), curve
+
+    def test_twelve_odd_primes(self):
+        # 2^13 candidates over 14 places, one per subset of -1 and the primes
+        E = CurveModel(0, prod(primes_up_to(41)[1:]))
+        local._padic_verdict.cache_clear()
+        for curve in (E, dual_curve(E)):
+            assert selmer.__wrapped__(curve).classes == reference_selmer(curve, bad_places(E)), curve
+
+    def test_family_padic_misses(self):
+        # a verdict per (place, class) asks solvable_padic exactly what a
+        # verdict per candidate and place did: 2487 questions for p <= 5000
+        local._padic_verdict.cache_clear()
+        selmer.cache_clear()
+        for p in primes_up_to(5000):
+            E = CurveModel(0, 18 * p * p)
+            selmer(E)
+            selmer(dual_curve(E))
+        selmer.cache_clear()
+        assert local._padic_verdict.cache_info().misses == 2487
+
+    def test_unclosed_set_raises(self, monkeypatch):
+        # a Q_2 verdict true on the classes with bits 1 and 2 but false on
+        # their product, 3: E_7's real place keeps the 8 positive b1 | 2*3*7,
+        # and of those only 14 (bits 1 ^ 2) fails, leaving 7 classes
+        def skewed(question):
+            return question.key[0] != 2 or local._square_class_bits(question.form.d1, 2) != 3
+
+        monkeypatch.setattr(local, "_padic_verdict", skewed)
+        with pytest.raises(InternalConsistencyError, match="not closed"):
+            selmer.__wrapped__(E7)
+
 
 class TestSearchHomspacePoints:
     def test_big_prime_witness(self):
@@ -263,9 +300,10 @@ class TestSearchHomspacePoints:
             search_homspace_points(E5, 4, 10)
 
 
-def walk_search_class(curve, b1, height_bound, first_only):
+def walk_search_class(curve, b1, height_bound, first_only, lowest=1):
     """The pair walk the sieve replaced, kept as its reference: every
-    (m, e) in rings of increasing max(m, e), with a gcd and an isqrt each.
+    (m, e) in rings of increasing max(m, e) from lowest on, with a gcd
+    and an isqrt each.
     """
     a, d2 = curve.a, curve.b // b1
     hits = []
@@ -291,7 +329,7 @@ def walk_search_class(curve, b1, height_bound, first_only):
         hits.append((m, e, r))
         return True
 
-    for h in range(1, height_bound + 1):
+    for h in range(lowest, height_bound + 1):
         for e in range(1, h + 1):
             if try_pair(h, e) and first_only:
                 return hits
@@ -361,10 +399,26 @@ class TestSearchSieve:
                 inner.append({h for h in got if max(h[:2]) < lo})
             assert inner[0] == inner[1] == inner[2]
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rows_past_the_first_block(self, k):
+        # Above the block width the second block of numerators starts at
+        # m0 = W + 1, which is not 1 mod 9, 5, 7, ...: its rows are cached
+        # under their own shift.  b = 2*(W + k)^2 + 1 puts a hit at
+        # m = W + k, e = 1 on the class b.
+        W = descent._BLOCK_BITS
+        height, lo = W + 4, W - 2
+        curve = CurveModel(0, 2 * (W + k) ** 2 + 1)
+        descent._sieve_rows.cache_clear()
+        for b1 in (1, -1, curve.b):
+            want = walk_search_class(curve, b1, height, first_only=False, lowest=lo)
+            got = [h for h in descent._search_class(curve, b1, height) if max(h[:2]) >= lo]
+            assert sorted(got) == sorted(want), b1
+        assert (W + k, 1, (W + k) ** 2 + 1) in want
+
     def test_memory_does_not_grow_with_the_height(self):
         # z = 4/11 lies on the class p of E_19249; at height 10^9 an
         # H-bit row alone would take 119 MiB
-        descent._square_masks.cache_clear()
+        descent._sieve_rows.cache_clear()
         tracemalloc.start()
         try:
             start = time.perf_counter()

@@ -3,6 +3,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isodescent import local
 from isodescent.arith import is_prime, jacobi, primes_up_to, quartic_symbol, squarefree_class, valuation
@@ -318,6 +320,31 @@ COARSER_KEYS = [
     (5, lambda v, u: (v % 2, pow(u, 2, 5))),  # the square class
     (13, lambda v, u: (v % 2, pow(u, 6, 13))),  # the square class
 ]
+
+
+NONZERO = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
+# the real place (None), l = 2 and every odd l <= 50
+PLACES = st.sampled_from([None, *primes_up_to(50)])
+
+
+class TestSquareClassBits:
+    """_square_class_bits is the class in Q_v*/Q_v*^2 as a vector over F_2."""
+
+    @given(m=NONZERO, n=NONZERO, l=PLACES)
+    @settings(max_examples=400, deadline=None)
+    def test_product_is_xor(self, m, n, l):
+        assert local._square_class_bits(m * n, l) == local._square_class_bits(m, l) ^ local._square_class_bits(n, l)
+
+    @pytest.mark.parametrize("l", primes_up_to(50))
+    def test_bijection_with_the_power_class(self, l):
+        # every class of Q_l*/Q_l*^2 has a representative l^e * u, e in (0, 1), 0 < u < 8l
+        values = [s * l**e * u for s in (1, -1) for e in (0, 1) for u in range(1, 8 * l) if u % l]
+        pairs = {(local._power_class(n, l, 2), local._square_class_bits(n, l)) for n in values}
+        classes = {c for c, _ in pairs}
+        assert len(classes) == len({b for _, b in pairs}) == len(pairs) == (8 if l == 2 else 4)
+
+    def test_real_place(self):
+        assert [local._square_class_bits(n, None) for n in (-7, -1, 1, 12)] == [1, 1, 0, 0]
 
 
 class TestCZeroQuestionPerClassOverQl:
