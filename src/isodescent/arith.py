@@ -81,16 +81,39 @@ def _vl(n: int, l: int) -> int:
     return e
 
 
+# integers sieved at a time by iter_primes
+_SEGMENT = 1 << 16
+
+
+def iter_primes(limit: int) -> Iterator[int]:
+    """The primes <= limit, ascending: a sieve of Eratosthenes over the
+    segments [2 + k*_SEGMENT, 2 + (k + 1)*_SEGMENT).
+
+    The sieving primes come, as far as each segment needs them, from the
+    primes <= isqrt(limit), so memory grows like the square root of the
+    position reached, not like limit.
+    """
+    root = math.isqrt(max(limit, 0))
+    source = iter_primes(root) if root >= 2 else iter(())
+    base: list[int] = []
+    nxt = next(source, None)
+    for lo in range(2, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        while nxt is not None and nxt * nxt < hi:
+            base.append(nxt)
+            nxt = next(source, None)
+        segment = bytearray([1]) * (hi - lo)
+        for p in base:
+            start = max(p * p, -(-lo // p) * p) - lo
+            segment[start::p] = bytes(len(range(start, hi - lo, p)))
+        yield from itertools.compress(range(lo, hi), segment)
+
+
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending (sieve of Eratosthenes)."""
+    """All primes <= limit, ascending."""
     if limit < 2:
         raise ValueError(f"primes_up_to requires limit >= 2, got {limit}")
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+    return list(iter_primes(limit))
 
 
 @lru_cache(maxsize=8)

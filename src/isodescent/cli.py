@@ -27,7 +27,7 @@ import tempfile
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .arith import IS_PRIME_LIMIT, is_prime, primes_up_to
+from .arith import IS_PRIME_LIMIT, is_prime, iter_primes
 from .descent import CurveModel, RankBounds, bad_places, dual_curve, rank_bounds, selmer
 from .family import (
     classify,
@@ -106,6 +106,15 @@ def _positive_arg(text: str) -> int:
     return value
 
 
+def _max_arg(text: str) -> int:
+    value = _positive_arg(text)
+    if value >= IS_PRIME_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"{value} is past the range of the primality test (--max < {IS_PRIME_LIMIT})"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isodescent",
@@ -132,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         add_common(sp, height=command == "rank")
 
     sp = sub.add_parser("scan", help="full report for every prime up to --max")
-    sp.add_argument("--max", dest="range_max", type=_positive_arg, required=True)
+    sp.add_argument("--max", dest="range_max", type=_max_arg, required=True)
     sp.add_argument(
         "--jobs", dest="parallelism", metavar="JOBS", type=_positive_arg,
         default=_usable_cpus(),
@@ -255,28 +264,38 @@ def _default_sigterm() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _map_primes(fn, primes: list[int], jobs: int) -> Iterator[dict]:
+def _map_primes(fn, primes: Iterable[int], jobs: int) -> Iterator[dict]:
     """fn over primes, lazily and in order; at most one process per usable
     CPU and per prime, and a pool hands out the chunks Pool.map would, up
-    to _MAX_CHUNK primes each."""
-    jobs = min(jobs, _usable_cpus(), len(primes))
+    to _MAX_CHUNK primes each.
+
+    Only 4 * _MAX_CHUNK * jobs + 1 primes are read ahead to choose these:
+    past that many, the chunks are _MAX_CHUNK long whatever the count.
+    Pool.imap then takes primes only as its task pipe has room for them.
+    """
+    from itertools import chain, islice
+
+    jobs = min(jobs, _usable_cpus())
+    primes = iter(primes)
+    head = list(islice(primes, 4 * _MAX_CHUNK * jobs + 1))
+    jobs = min(jobs, len(head))
     if jobs <= 1:
-        yield from map(fn, primes)
+        yield from map(fn, chain(head, primes))
         return
     import multiprocessing
 
-    chunksize = min(-(-len(primes) // (4 * jobs)), _MAX_CHUNK)
+    chunksize = min(-(-len(head) // (4 * jobs)), _MAX_CHUNK)
     with multiprocessing.Pool(jobs, initializer=_default_sigterm) as pool:
-        yield from pool.imap(fn, primes, chunksize)
+        yield from pool.imap(fn, chain(head, primes), chunksize)
 
 
 def execute(config: RunConfig) -> Iterator[dict]:
     """The configured command's records, in order.
 
     Each per-prime command maps its row builder over its primes: --p, or
-    every prime up to --max for scan.  Their records are computed as the
-    iterator reaches them, so a caller that writes each one out holds one
-    at a time.
+    every prime up to --max for scan.  The primes are sieved and their
+    records computed as the iterator reaches them, so a caller that writes
+    each one out holds one at a time.
     """
     command = config.command
     if command == "descent":
@@ -289,11 +308,7 @@ def execute(config: RunConfig) -> Iterator[dict]:
     row = {**builders, "rank": report, "scan": report}.get(command)
     if row is None:
         raise ValueError(f"unknown command {command!r}")
-    if command == "scan":
-        # the one list that grows with --max: 664 579 ints below 10^7
-        primes = primes_up_to(config.range_max) if config.range_max >= 2 else []
-    else:
-        primes = [config.p]
+    primes = iter_primes(config.range_max) if command == "scan" else [config.p]
     return _map_primes(row, primes, config.parallelism)
 
 

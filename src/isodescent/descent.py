@@ -133,12 +133,6 @@ def _require_on_curve(E: CurveModel, P: CurvePoint) -> None:
         raise ValueError(f"point {P} is not on y^2 = x^3 + {E.a}x^2 + {E.b}x")
 
 
-def point_negate(P: CurvePoint) -> CurvePoint:
-    if P.is_identity:
-        return P
-    return CurvePoint(P.x, -P.y)
-
-
 def point_add(E: CurveModel, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     """Chord-tangent addition on y^2 = x^3 + a*x^2 + b*x."""
     if P.is_identity:
@@ -155,19 +149,6 @@ def point_add(E: CurveModel, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     x3 = lam * lam - E.a - P.x - Q.x
     y3 = lam * (P.x - x3) - P.y
     return CurvePoint(x3, y3)
-
-
-def point_multiply(E: CurveModel, n: int, P: CurvePoint) -> CurvePoint:
-    if n < 0:
-        return point_multiply(E, -n, point_negate(P))
-    acc = CurvePoint.identity()
-    step = P
-    while n:
-        if n & 1:
-            acc = point_add(E, acc, step)
-        step = point_add(E, step, step)
-        n >>= 1
-    return acc
 
 
 def dual_curve(E: CurveModel) -> CurveModel:
@@ -267,9 +248,9 @@ def selmer(E: CurveModel) -> SelmerGroup:
 # rational points on the spaces
 
 
-# Moduli of the square sieve: a power of 2 (every value is a square mod 2),
-# 9, and small odd primes.  Few and small, so that the tables of a class
-# cost far less than the pairs they rule out.
+# Moduli of the square sieve, each a prime power: a power of 2 (every value
+# is a square mod 2), 9, and small odd primes.  Few and small, so that the
+# tables of a class cost far less than the pairs they rule out.
 _SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29)
 # numerators are sieved this many at a time, whatever the height bound
 _BLOCK_BITS = 4096
@@ -281,19 +262,26 @@ _BLOCK_BITS = 4096
 @lru_cache(maxsize=1024)
 def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[int, ...]:
     """Entry r is the nbits-bit row whose bit j is set when m = m0 + j
-    makes b1*r^4 + a*m^2*r^2 + d2*m^4 a square mod q (all arguments but
-    nbits taken mod q): the row of every denominator e = r (mod q).
+    makes b1*r^4 + a*m^2*r^2 + d2*m^4 a square mod q and shares no prime
+    of q with r (all arguments but nbits taken mod q): the row of every
+    denominator e = r (mod q).
 
-    Entries r and q - r are the same object: the value depends on r^2.
+    q is a prime power, so a pair (m, e) left out for a common prime of
+    q has gcd(m, e) > 1 and is no primitive point.  Entries r and q - r
+    are the same object: the value depends on r^2, and gcd(r, q) =
+    gcd(q - r, q).
     """
     sq = [s * s % q for s in range(q)]
     squares = set(sq)
     repeat = ((1 << (nbits // q + 2) * q) - 1) // ((1 << q) - 1)  # 1 every q bits
     full = (1 << nbits) - 1
+    coprime = sum(1 << s for s in range(q) if gcd(s, q) == 1)
     half = []
-    for r2 in sq[: q // 2 + 1]:
+    for r, r2 in enumerate(sq[: q // 2 + 1]):
         c0, c1 = b1 * r2 * r2, a * r2
         mask = sum(1 << s for s, s2 in enumerate(sq) if (c0 + (c1 + d2 * s2) * s2) % q in squares)
+        if gcd(r, q) > 1:
+            mask &= coprime
         # repeated past nbits + q bits, then shifted so bit j is residue m0 + j
         half.append(mask * repeat >> m0 & full)
     return tuple(half + half[1 : (q + 1) // 2][::-1])
@@ -309,11 +297,14 @@ def _search_class(
     candidate numerators form a bitset row of _BLOCK_BITS bits at a time:
     the AND, over the moduli q of _SIEVE_MODULI, of the rows (_sieve_rows,
     shared by every class with the same residues) of the m for which
-    b1*e^4 + a*m^2*e^2 + d2*m^4 is a square mod q.  A square integer is a
-    square mod every q, so no hit is sieved out, and each surviving m
-    gets the exact gcd and isqrt test.  Blocks are
-    visited in rings of increasing max(block of m, block of e), so memory
-    does not grow with the height bound.
+    b1*e^4 + a*m^2*e^2 + d2*m^4 is a square mod q and which share no
+    prime of q with e.  A square integer is a square mod every q and a
+    primitive pair has no common prime, so no hit is sieved out.  Pairs
+    with a common prime of the moduli never reach the exact gcd and isqrt
+    test that each surviving m gets; the gcd still rules out common
+    primes above 29.  Blocks are visited in rings of increasing
+    max(block of m, block of e), so memory does not grow with the height
+    bound.
 
     The hits are yielded in ring order: the first lies in the innermost
     ring of blocks holding one, but need not be the smallest point.  A

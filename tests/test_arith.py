@@ -1,5 +1,8 @@
+import collections
+import itertools
 import math
 import re
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -13,6 +16,7 @@ from isodescent.arith import (
     class_product,
     factorize,
     is_prime,
+    iter_primes,
     jacobi,
     primes_up_to,
     quartic_symbol,
@@ -292,6 +296,43 @@ class TestPrimesUpTo:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             primes_up_to(1)
+
+
+def _plain_sieve(limit: int) -> list[int]:
+    """The whole-range sieve of Eratosthenes that iter_primes replaced."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
+    return [i for i in range(2, limit + 1) if sieve[i]]
+
+
+class TestIterPrimes:
+    def test_segment_edges(self):
+        # segments start at 2 + k * _SEGMENT: the limits around the first
+        # three edges
+        S = arith._SEGMENT
+        reference = _plain_sieve(3 * S + 4)
+        for edge in (2 + S, 2 + 2 * S, 2 + 3 * S):
+            for limit in range(edge - 2, edge + 3):
+                assert list(iter_primes(limit)) == [p for p in reference if p <= limit], limit
+
+    def test_small_limits(self):
+        for limit in range(-2, 200):
+            assert list(iter_primes(limit)) == [p for p in _plain_sieve(200) if p <= limit]
+
+    def test_memory_follows_the_position_not_the_limit(self):
+        # the first 10^5 primes below 10^24: a whole-range sieve would need
+        # 10^24 bytes, the segments need their sieving primes up to ~1140
+        tracemalloc.start()
+        try:
+            last = collections.deque(itertools.islice(iter_primes(10**24), 10**5), maxlen=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert last[0] == 1_299_709
+        assert peak < 1 << 20, peak
 
 
 class TestQuarticSymbol:

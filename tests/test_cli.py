@@ -13,10 +13,11 @@ from functools import lru_cache
 
 import pytest
 
-from isodescent.arith import is_prime, primes_up_to
+from isodescent.arith import IS_PRIME_LIMIT, is_prime, primes_up_to
 from isodescent.cli import (
     RunConfig,
     _SCHEMAS,
+    _map_primes,
     _report_record,
     execute,
     main,
@@ -70,6 +71,10 @@ class TestParseArgs:
     def test_descent_args(self):
         config = parse_args(["descent", "--a", "0", "--b", "-4", "--height-bound", "10"])
         assert (config.a, config.b, config.height_bound) == (0, -4, 10)
+
+    def test_max_just_below_the_primality_range(self):
+        # parsed only: a scan this large would never end
+        assert parse_args(["scan", "--max", str(IS_PRIME_LIMIT - 1)]).range_max == IS_PRIME_LIMIT - 1
 
 
 class TestExecute:
@@ -204,8 +209,9 @@ class TestMainExitCodes:
             (["scan", "--max", "10", "--height-bound", "x"], b"'x' is not an integer"),
             (["descent", "--a", "x", "--b", "1"], b"'x' is not an integer"),
             (["scan", "--max", "0"], b"expected a positive integer, got 0"),
+            (["scan", "--max", str(IS_PRIME_LIMIT)], b"past the range of the primality test (--max <"),
         ],
-        ids=["p-past-primality-range", "p", "max", "jobs", "height-bound", "a", "max-zero"],
+        ids=["p-past-primality-range", "p", "max", "jobs", "height-bound", "a", "max-zero", "max-past-primality-range"],
     )
     def test_bad_argument_message(self, args, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -337,16 +343,57 @@ class TestPoolClamp:
     @pytest.mark.parametrize("range_max,jobs,chunksize", [(30, 2, 2), (200, 4, 3), (3000, 2, 54), (5000, 2, 64)])
     def test_chunk_size_is_pool_maps_up_to_a_cap(self, monkeypatch, range_max, jobs, chunksize):
         # ceil(n / (4 * jobs)), the chunk size Pool.map picks for n primes,
-        # but at most 64 records wait in any one chunk
+        # but at most 64 records wait in any one chunk; the same whether
+        # the primes come as a list or as an iterator of unknown length
         import isodescent.cli as cli_mod
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(FakePool, "chunksizes", [])
         monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: jobs, raising=False)
         monkeypatch.setattr(cli_mod, "_report_record", lambda p, height_bound, columns: {"p": p})
-        records = list(execute(RunConfig(command="scan", range_max=range_max, parallelism=jobs)))
+        primes = primes_up_to(range_max)
+        runs = [
+            execute(RunConfig(command="scan", range_max=range_max, parallelism=jobs)),
+            _map_primes(lambda p: {"p": p}, primes, jobs),
+            _map_primes(lambda p: {"p": p}, iter(primes), jobs),
+        ]
+        for records in runs:
+            assert [r["p"] for r in records] == primes
+        assert FakePool.chunksizes == [chunksize] * 3
+
+    @pytest.mark.parametrize("n,chunksize", [(503, 63), (504, 63), (505, 64), (512, 64), (513, 64), (10**6, 64)])
+    def test_chunk_size_around_the_read_ahead(self, monkeypatch, n, chunksize):
+        # two jobs read at most 4 * 64 * 2 + 1 = 513 primes ahead, enough
+        # to tell every chunk size below the cap from the cap
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(FakePool, "chunksizes", [])
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
+        source = iter(range(n))
+        records = _map_primes(lambda p: {"p": p}, source, 2)
+        assert [next(records)["p"] for _ in range(3)] == [0, 1, 2]
         assert FakePool.chunksizes == [chunksize]
-        assert [r["p"] for r in records] == primes_up_to(range_max)
+        assert next(source, n) == min(513, n)
+
+    def test_a_pool_takes_primes_as_its_workers_do(self):
+        # Pool.imap's task feeder blocks once its pipe to the workers is
+        # full, so a lazy prime source is not drained ahead of them
+        pulled = 0
+
+        def source():
+            nonlocal pulled
+            for _ in range(10**6):
+                pulled += 1
+                yield 0.002
+
+        records = _map_primes(time.sleep, source(), 2)
+        try:
+            next(records)
+            time.sleep(0.2)
+            assert pulled < 10**5
+        finally:
+            records.close()
 
     def test_rank_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)

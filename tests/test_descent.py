@@ -29,7 +29,6 @@ from isodescent.descent import (
     homspace_to_curve,
     on_curve,
     point_add,
-    point_multiply,
     rank_bounds,
     search_homspace_points,
     selmer,
@@ -57,6 +56,27 @@ def _alpha_class(P: CurvePoint, b: int) -> int:
     if P.x == 0:
         return squarefree_class(b)
     return squarefree_class(P.x.numerator * P.x.denominator)
+
+
+def point_negate(P: CurvePoint) -> CurvePoint:
+    if P.is_identity:
+        return P
+    return CurvePoint(P.x, -P.y)
+
+
+def point_multiply(E: CurveModel, n: int, P: CurvePoint) -> CurvePoint:
+    """n*P by double-and-add over point_add, the reference the isogeny
+    compositions are checked against."""
+    if n < 0:
+        return point_multiply(E, -n, point_negate(P))
+    acc = CurvePoint.identity()
+    step = P
+    while n:
+        if n & 1:
+            acc = point_add(E, acc, step)
+        step = point_add(E, step, step)
+        n >>= 1
+    return acc
 
 
 class TestDeadline:
@@ -414,6 +434,22 @@ class TestSearchSieve:
             got = [h for h in descent._search_class(curve, b1, height) if max(h[:2]) >= lo]
             assert sorted(got) == sorted(want), b1
         assert (W + k, 1, (W + k) ** 2 + 1) in want
+
+    @pytest.mark.parametrize("q", descent._SIEVE_MODULI)
+    @pytest.mark.parametrize("m0", [1, 4097])
+    def test_rows_hold_only_primitive_pairs(self, q, m0):
+        # bit j of row e is m = m0 + j: set exactly when the value is a
+        # square mod q and the prime l of q does not divide both m and e
+        l = min(d for d in range(2, q + 1) if q % d == 0)
+        squares = {s * s % q for s in range(q)}
+        nbits = 3 * q + 5
+        for b1, a, d2 in [(1, 0, 1), (1, 0, -1), (3, 2, 5), (-7, 0, 18 * 49)]:
+            rows = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0 % q, nbits)
+            for e in range(q):
+                for j in range(nbits):
+                    m = m0 + j
+                    square = (b1 * e**4 + a * m * m * e * e + d2 * m**4) % q in squares
+                    assert rows[e] >> j & 1 == (square and (e % l or m % l) != 0), (b1, a, d2, e, m)
 
     def test_memory_does_not_grow_with_the_height(self):
         # z = 4/11 lies on the class p of E_19249; at height 10^9 an
