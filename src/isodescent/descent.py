@@ -156,8 +156,6 @@ def dual_curve(E: CurveModel) -> CurveModel:
     return CurveModel(-2 * E.a, E.a * E.a - 4 * E.b)
 
 
-# selmer, itself cached, asks once per curve: only recent curves need holding
-@lru_cache(maxsize=64)
 def bad_places(E: CurveModel) -> frozenset[Place]:
     """Infinity together with every prime dividing 2*b*bbar, the same set
     for E and its dual.

@@ -25,23 +25,25 @@ routes are provided:
     otherwise Weil's bound guarantees a square value once l >= 17.  At
     l = 2 units are recognized mod 8 by a walk over residues mod 8.
 
-    The descent asks solvable_padic once per class of the form over Q_l
-    and caches the verdict (256 entries).  For u, v in Q_l*, z -> u*z,
-    w -> v*w takes (d1, c, d2) to (v^2*d1, u^2*v^2*c, u^4*v^2*d2)
-    (Cremona, Algorithms for Modular Elliptic Curves, 3.5).  With u*v = 1
-    this fixes c and d1*d2, so the verdict depends only on l, c, d1*d2
-    and the class of d1 in Q_l*/Q_l*^2.  When c = 0 any u, v will do, and
-    the class of d1 in Q_l*/Q_l*^2 with that of d1*d2 in Q_l*/Q_l*^4 fix
-    the form exactly.  So a question is keyed by (l, c, d1*d2 or its
-    class mod fourth powers, the class bits of d1), where the class bits
-    (_square_class_bits) write Q_v*/Q_v*^2 as a vector over F_2.  One
+    The descent asks solvable_padic once per class of the form over Q_l.
+    For u, v in Q_l*, z -> u*z, w -> v*w takes (d1, c, d2) to
+    (v^2*d1, u^2*v^2*c, u^4*v^2*d2) (Cremona, Algorithms for Modular
+    Elliptic Curves, 3.5).  With u*v = 1 this fixes c and d1*d2, so the
+    verdict depends only on l, c, d1*d2 and the class of d1 in
+    Q_l*/Q_l*^2.  When c = 0 any u, v will do, and the class of d1 in
+    Q_l*/Q_l*^2 with that of d1*d2 in Q_l*/Q_l*^4 fix the form exactly.
+    So the Q_l key (l, c, d1*d2 or its class mod fourth powers) of
+    _fixed_key leaves only the class of d1 free, and the class bits
+    (_square_class_bits) write that class as a vector over F_2 of at most
+    3 bits.  _verdict_table gives each key one table of 8 verdicts,
+    indexed by those bits and filled on first use, and keeps the tables of
+    the 256 most recently used keys.  The spaces of one Selmer group share
+    c and d1*d2, so each of its places (_GroupVerdicts) reads one table,
+    and different curves with a key in common read the same one.  One
     Selmer group costs at most 8 + 4*(number of odd bad places)
     solvable_padic calls, and the c = 0 spaces of different curves share
     their verdicts: all E_p : y^2 = x^3 + 18p^2x with p > 3 ask the same
     32 Q_2 and 8 Q_3 questions at most, over both sides.
-    The spaces of one Selmer group share c and d1*d2, so its places
-    (_GroupVerdicts) keep a table of verdicts indexed by the class bits of
-    d1, and each class is decided once per group.
 
   * brute_oracle: a breadth-first residue search that only ever reports a
     definite answer with a certificate (an exact Z_l-square value, or a
@@ -58,7 +60,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .arith import _vl, is_prime
 
@@ -383,67 +385,30 @@ def _square_class_bits(n: int, l: Optional[int]) -> int:
     return v & 1 | (pow(unit % l, (l - 1) // 2, l) != 1) << 1
 
 
-class _PadicQuestion:
-    """One Q_l question, keyed by (l, c, d1*d2 or its class, class bits of
-    d1 in Q_l*/Q_l*^2): d1*d2 exactly when c != 0, by its class in
-    Q_l*/Q_l*^4 when c = 0.  These fix the form up to isomorphism over
-    Q_l (see the module docstring).  The form is the representative that
-    gets decided and takes no part in equality or hashing."""
-
-    __slots__ = ("key", "form")
-
-    def __init__(self, key: tuple, form: QuarticForm) -> None:
-        self.key = key
-        self.form = form
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _PadicQuestion) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-
 def _fixed_key(l: int, c: int, d1d2: int) -> tuple:
-    """The part of a question's key that the forms (d1, c, d1d2/d1) share."""
+    """The Q_l key that the forms (d1, c, d1d2/d1) share: (l, c, d1*d2)
+    when c != 0, (l, 0, class of d1*d2 in Q_l*/Q_l*^4) when c = 0.  With
+    the class of d1 in Q_l*/Q_l*^2 it fixes the form up to isomorphism
+    over Q_l (see the module docstring)."""
     return l, c, _power_class(d1d2, l, 4) if c == 0 else d1d2
 
 
-def _question(q: QuarticForm, l: int) -> _PadicQuestion:
-    return _PadicQuestion((*_fixed_key(l, q.c, q.d1 * q.d2), _square_class_bits(q.d1, l)), q)
-
-
-# a curve's two Selmer groups ask at most 16 + 8 * (odd bad places) questions,
-# and LRU keeps the Q_2 and Q_3 verdicts that every E_p shares
+# a curve's two Selmer groups use 2 * (prime bad places) tables, and LRU
+# keeps the Q_2 and Q_3 tables that every E_p shares
 @lru_cache(maxsize=256)
-def _padic_verdict(question: _PadicQuestion) -> bool:
-    return solvable_padic(question.form, question.key[0])
-
-
-def solvable_at(q: QuarticForm, place: Place) -> bool:
-    """Whether q has a point over the completion at place; a Q_l verdict
-    is decided once per _PadicQuestion and then read from a bounded cache."""
-    if place.is_infinite:
-        return solvable_real(q)
-    return _padic_verdict(_question(q, place.prime))
-
-
-def _class_decider(place: Place, c: int, d1d2: int) -> Callable[[QuarticForm, int], bool]:
-    """decide(q, bits): whether q = (d1, c, d1d2/d1), where d1 has the
-    class bits at place, has a point over the completion there."""
-    if place.is_infinite:
-        return lambda q, bits: solvable_real(q)
-    fixed = _fixed_key(place.prime, c, d1d2)
-    return lambda q, bits: _padic_verdict(_PadicQuestion((*fixed, bits), q))
+def _verdict_table(key: tuple) -> list[Optional[bool]]:
+    """The Q_l verdicts of the forms with this _fixed_key, indexed by the
+    class bits of d1, None until decided; shared by every curve."""
+    return [None] * 8
 
 
 class _GroupVerdicts:
     """The places of the forms (d1, c, d1d2/d1) that share c and d1*d2, as
     the spaces of one Selmer group do, in the canonical order (infinity
-    first, then ascending primes).  Each place has a table of at most 8
-    verdicts indexed by the class bits of d1 there, one verdict per class.
-    A slot is decided on first use: by solvable_real at infinity, and at a
-    prime through the cache shared by all curves, under a key whose part
-    fixed by (l, c, d1*d2) is built once per place."""
+    first, then ascending primes).  Each place has a table of 8 verdicts
+    indexed by the class bits of d1 there: a table of the group's own at
+    infinity, and at a prime l the _verdict_table of the forms' Q_l key,
+    which every curve with that key shares."""
 
     __slots__ = ("places", "tables")
 
@@ -451,8 +416,11 @@ class _GroupVerdicts:
         self.places = sorted(places, key=lambda pl: -1 if pl.is_infinite else pl.prime)
         if not self.places:
             raise ValueError("solvable_everywhere_locally requires a nonempty place set")
-        # (shift of the place's bits in a class vector, verdicts, decider)
-        self.tables = [(3 * i, [None] * 8, _class_decider(pl, c, d1d2)) for i, pl in enumerate(self.places)]
+        # (shift of the place's bits in a class vector, verdicts, prime or None)
+        self.tables = [
+            (3 * i, [None] * 8 if pl.is_infinite else _verdict_table(_fixed_key(pl.prime, c, d1d2)), pl.prime)
+            for i, pl in enumerate(self.places)
+        ]
 
     def class_vector(self, n: int) -> int:
         """The class bits of n at every place, 3 bits a place: the vector
@@ -468,18 +436,19 @@ def solvable_everywhere_locally(
     Short-circuits on the first failing place; places are visited in a
     canonical order (infinity first, then ascending primes) so the result
     is reproducible.  places may be the _GroupVerdicts of q's c and d1*d2,
-    and vector the class vector of q.d1 there: then each place reads the
-    verdict of that class from its table, and decides it on first use.
+    and vector the class vector of q.d1 there.  Each place reads the
+    verdict of q's class from its table, and decides it on first use with
+    solvable_real or solvable_padic.
     """
     if not isinstance(places, _GroupVerdicts):
         places = _GroupVerdicts(places, q.c, q.d1 * q.d2)
     if vector is None:
         vector = places.class_vector(q.d1)
-    for shift, table, decide in places.tables:
+    for shift, table, l in places.tables:
         bits = vector >> shift & 7
         verdict = table[bits]
         if verdict is None:
-            verdict = table[bits] = decide(q, bits)
+            verdict = table[bits] = solvable_real(q) if l is None else solvable_padic(q, l)
         if not verdict:
             return False
     return True

@@ -557,3 +557,23 @@ class TestTerminatedOut:
         assert proc.returncode == -signal.SIGTERM
         assert err == b""
         assert sorted(f.name for f in tmp_path.iterdir()) == []
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reader_closes_the_pipe(self, jobs):
+        # a reader that stops after the header, as `| head -n 1` does: the
+        # scan must end with exit 3 and one error line, pool workers included
+        argv = ["scan", "--max", "20000", "--height-bound", "20", "--format", "csv", "--jobs", str(jobs)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isodescent.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"spec_version,p,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 3
+        lines = err.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write output"), err

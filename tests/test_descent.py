@@ -202,9 +202,26 @@ class TestSelmerVerdictCache:
         # a curve and its dual share the primes of 2*b*(a^2 - 4b)
         assert places == {INFINITY} | {Place(p) for p in factorize(2 * b * (a * a - 4 * b))}
         assert bad_places(dual_curve(E)) == places
-        local._padic_verdict.cache_clear()
+        local._verdict_table.cache_clear()
         for curve in (E, dual_curve(E)):
             assert selmer.__wrapped__(curve).classes == reference_selmer(curve, places), curve
+
+    # E_5 and E_11 share their Q_2 and Q_3 tables (c = 0); (-6, 49) is the
+    # dual of (3, -10), so its groups read the tables that (3, -10) filled
+    @given(a=st.integers(min_value=-60, max_value=60), b=st.integers(min_value=-3000, max_value=3000))
+    @example(a=0, b=18 * 25)
+    @example(a=0, b=18 * 121)
+    @example(a=3, b=-10)
+    @example(a=-6, b=49)
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_shared_across_curves(self, a, b):
+        # the tables are never cleared, so each example reads verdicts that
+        # earlier curves with the same Q_l key decided
+        if b == 0 or a * a == 4 * b:
+            return
+        E = CurveModel(a, b)
+        for curve in (E, dual_curve(E)):
+            assert selmer.__wrapped__(curve).classes == reference_selmer(curve, bad_places(E)), curve
 
     @pytest.mark.parametrize("curve", [EBIG, dual_curve(EBIG)], ids=["psibar", "psi"])
     def test_one_padic_call_per_class_over_q_l(self, curve, monkeypatch):
@@ -216,7 +233,7 @@ class TestSelmerVerdictCache:
             return solvable_padic(q, l)
 
         monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
-        local._padic_verdict.cache_clear()
+        local._verdict_table.cache_clear()
         assert selmer.__wrapped__(curve).classes == want
         # bad places 2, 3 and 19249: at most 8 + 4 + 4 classes of b1 over Q_l
         assert 0 < len(calls) <= 16
@@ -226,7 +243,7 @@ class TestSelmerVerdictCache:
         # first is read mostly from verdicts that other primes decided
         primes = primes_up_to(300) + [1217, 19249, 1043113]
         random.Random(11).shuffle(primes)
-        local._padic_verdict.cache_clear()
+        local._verdict_table.cache_clear()
         for p in primes:
             E = CurveModel(0, 18 * p * p)
             for curve in (E, dual_curve(E)):
@@ -240,7 +257,7 @@ class TestSelmerVerdictCache:
             return solvable_padic(q, l)
 
         monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
-        local._padic_verdict.cache_clear()
+        local._verdict_table.cache_clear()
         selmer.cache_clear()
         for p in primes_up_to(500):
             assert verify_prime(p, 10).consistent
@@ -251,7 +268,7 @@ class TestSelmerVerdictCache:
         assert calls[3] <= 16
 
     def test_every_family_curve_up_to_2000(self):
-        local._padic_verdict.cache_clear()
+        local._verdict_table.cache_clear()
         for p in primes_up_to(2000):
             E = CurveModel(0, 18 * p * p)
             for curve in (E, dual_curve(E)):
@@ -260,32 +277,44 @@ class TestSelmerVerdictCache:
     def test_twelve_odd_primes(self):
         # 2^13 candidates over 14 places, one per subset of -1 and the primes
         E = CurveModel(0, prod(primes_up_to(41)[1:]))
-        local._padic_verdict.cache_clear()
+        local._verdict_table.cache_clear()
         for curve in (E, dual_curve(E)):
             assert selmer.__wrapped__(curve).classes == reference_selmer(curve, bad_places(E)), curve
 
-    def test_family_padic_misses(self):
+    def test_family_padic_misses(self, monkeypatch):
         # a verdict per (place, class) asks solvable_padic exactly what a
         # verdict per candidate and place did: 2487 questions for p <= 5000
-        local._padic_verdict.cache_clear()
+        calls = []
+
+        def counting_solvable_padic(q, l):
+            calls.append((q, l))
+            return solvable_padic(q, l)
+
+        monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
+        local._verdict_table.cache_clear()
         selmer.cache_clear()
         for p in primes_up_to(5000):
             E = CurveModel(0, 18 * p * p)
             selmer(E)
             selmer(dual_curve(E))
         selmer.cache_clear()
-        assert local._padic_verdict.cache_info().misses == 2487
+        assert len(calls) == 2487
 
     def test_unclosed_set_raises(self, monkeypatch):
         # a Q_2 verdict true on the classes with bits 1 and 2 but false on
         # their product, 3: E_7's real place keeps the 8 positive b1 | 2*3*7,
         # and of those only 14 (bits 1 ^ 2) fails, leaving 7 classes
-        def skewed(question):
-            return question.key[0] != 2 or local._square_class_bits(question.form.d1, 2) != 3
+        def skewed(q, l):
+            return l != 2 or local._square_class_bits(q.d1, 2) != 3
 
-        monkeypatch.setattr(local, "_padic_verdict", skewed)
-        with pytest.raises(InternalConsistencyError, match="not closed"):
-            selmer.__wrapped__(E7)
+        monkeypatch.setattr(local, "solvable_padic", skewed)
+        local._verdict_table.cache_clear()
+        try:
+            with pytest.raises(InternalConsistencyError, match="not closed"):
+                selmer.__wrapped__(E7)
+        finally:
+            # the skewed verdicts sit in the shared tables
+            local._verdict_table.cache_clear()
 
 
 class TestSearchHomspacePoints:

@@ -292,9 +292,8 @@ class TestVerifyPrime:
             arith_mod.is_prime,
             arith_mod._factorization,
             family_mod.classify,
-            descent_mod.bad_places,
             descent_mod.selmer,
-            local_mod._padic_verdict,
+            local_mod._verdict_table,
         ):
             cache.cache_clear()
         assert family_mod.verify_prime(1043113, 60).consistent
@@ -308,14 +307,21 @@ class TestVerifyPrime:
         with pytest.raises(ValueError, match="15 is not prime"):
             fn(15)
 
-    def test_bad_places_once_per_curve(self):
-        bad_places.cache_clear()
+    def test_bad_places_once_per_curve(self, monkeypatch):
+        import isodescent.descent as descent_mod
+
+        calls = []
+
+        def counting_bad_places(E):
+            calls.append(E)
+            return bad_places(E)
+
+        monkeypatch.setattr(descent_mod, "bad_places", counting_bad_places)
         selmer.cache_clear()
         verify_prime(1217, 10)
         # one computation for each curve of the pair, each asked once:
         # every later Selmer lookup is a hit in selmer's own cache
-        assert bad_places.cache_info().misses == 2
-        assert bad_places.cache_info().hits == 0
+        assert sorted(calls) == sorted([curve_for_prime(1217), dual_curve(curve_for_prime(1217))])
 
     def test_closed_forms_factor_nothing(self, monkeypatch):
         import isodescent.arith as arith_mod
@@ -328,7 +334,6 @@ class TestVerifyPrime:
 
         monkeypatch.setattr(arith_mod, "factorize", counting_factorize)
         arith_mod._factorization.cache_clear()
-        bad_places.cache_clear()
         for p in (7, 1217, 1043113):
             closed_form_selmer_psibar(p)
             closed_form_selmer_psi(p)

@@ -15,7 +15,6 @@ from isodescent.local import (
     Verdict,
     brute_oracle,
     is_zl_square,
-    solvable_at,
     solvable_everywhere_locally,
     solvable_padic,
     solvable_real,
@@ -229,8 +228,13 @@ def _forms_by_product(limit, cs):
                             yield QuarticForm(d1, c, n // d1)
 
 
+def _key(q, l):
+    """The key of q's verdict over Q_l: its _verdict_table and its slot there."""
+    return local._fixed_key(l, q.c, q.d1 * q.d2), local._square_class_bits(q.d1, l)
+
+
 class TestVerdictPerClassOverQl:
-    """solvable_at decides one form per (l, c, d1*d2, class of d1 in Q_l*/Q_l*^2)."""
+    """A Q_l verdict is decided once per (l, c, d1*d2, class of d1 in Q_l*/Q_l*^2)."""
 
     @pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
     def test_square_class_is_the_class_in_ql(self, l):
@@ -266,10 +270,11 @@ class TestVerdictPerClassOverQl:
                 assert solvable_padic(six, 5) == solvable_padic(one, 5), (c, k)
 
     def test_solvable_at_agrees_with_solvable_padic(self):
-        local._padic_verdict.cache_clear()
+        # a verdict read from a shared table is the verdict of the form itself
+        local._verdict_table.cache_clear()
         for q in _forms_by_product(24, (0, 2)):
             for l in (2, 3, 5):
-                assert solvable_at(q, Place(l)) == solvable_padic(q, l), (q, l)
+                assert solvable_everywhere_locally(q, [Place(l)]) == solvable_padic(q, l), (q, l)
 
     def test_witnesses_hold_over_q(self):
         solvable = 0
@@ -348,8 +353,8 @@ class TestSquareClassBits:
 
 
 class TestCZeroQuestionPerClassOverQl:
-    """solvable_at decides one c = 0 form per class of d1 in Q_l*/Q_l*^2 and
-    class of d1*d2 in Q_l*/Q_l*^4."""
+    """A Q_l verdict is decided once per c = 0 form with a given class of d1
+    in Q_l*/Q_l*^2 and class of d1*d2 in Q_l*/Q_l*^4."""
 
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("l", [2, 3, 5, 7, 13])
@@ -363,8 +368,8 @@ class TestCZeroQuestionPerClassOverQl:
 
     @pytest.mark.parametrize("l", [2, 3, 5, 7, 11, 13, 17])
     def test_one_verdict_per_key(self, l):
-        assert _conflicts(l, lambda d1, d2: local._question(QuarticForm(d1, 0, d2), l)) == 0
-        keys = {local._question(QuarticForm(d1, 0, d2), l) for d1, d2 in _c0_verdicts(l)}
+        assert _conflicts(l, lambda d1, d2: _key(QuarticForm(d1, 0, d2), l)) == 0
+        keys = {_key(QuarticForm(d1, 0, d2), l) for d1, d2 in _c0_verdicts(l)}
         # classes of d1 mod squares times classes of d1*d2 mod fourth powers
         assert len(keys) <= (8 * 32 if l == 2 else 4 * 4 * gcd(4, l - 1))
 
@@ -376,19 +381,26 @@ class TestCZeroQuestionPerClassOverQl:
         assert _conflicts(2, _key_with(2, lambda v, u: (v % 4, u % 16))) == 0
         assert _conflicts(13, _key_with(13, lambda v, u: (v % 4, pow(u, 3, 13)))) == 0
 
-    def test_forms_of_different_curves_share_a_verdict(self):
+    def test_forms_of_different_curves_share_a_verdict(self, monkeypatch):
         # the 3-spaces of E_7 and E_17: 7^2 = 17^2 (mod 16), and both are units at 3
         for l in (2, 3):
-            assert local._question(QuarticForm(3, 0, 6 * 49), l) == local._question(QuarticForm(3, 0, 6 * 289), l)
-        local._padic_verdict.cache_clear()
-        assert solvable_at(QuarticForm(3, 0, 6 * 49), Place(2))
-        assert solvable_at(QuarticForm(3, 0, 6 * 289), Place(2))
-        assert local._padic_verdict.cache_info().misses == 1
+            assert _key(QuarticForm(3, 0, 6 * 49), l) == _key(QuarticForm(3, 0, 6 * 289), l)
+        calls = []
+
+        def counting_solvable_padic(q, l):
+            calls.append((q, l))
+            return solvable_padic(q, l)
+
+        monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
+        local._verdict_table.cache_clear()
+        assert solvable_everywhere_locally(QuarticForm(3, 0, 6 * 49), [Place(2)])
+        assert solvable_everywhere_locally(QuarticForm(3, 0, 6 * 289), [Place(2)])
+        assert calls == [(QuarticForm(3, 0, 6 * 49), 2)]
 
     def test_c_nonzero_keeps_the_exact_product(self):
         # 18 and 18*81 are one class mod fourth powers at l = 3, not one number
-        assert local._question(QuarticForm(1, 1, 18), 3) != local._question(QuarticForm(1, 1, 18 * 81), 3)
-        assert local._question(QuarticForm(1, 0, 18), 3) == local._question(QuarticForm(1, 0, 18 * 81), 3)
+        assert _key(QuarticForm(1, 1, 18), 3) != _key(QuarticForm(1, 1, 18 * 81), 3)
+        assert _key(QuarticForm(1, 0, 18), 3) == _key(QuarticForm(1, 0, 18 * 81), 3)
 
 
 class TestBruteOracle:
