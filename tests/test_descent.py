@@ -206,8 +206,8 @@ class TestSelmerVerdictCache:
         for curve in (E, dual_curve(E)):
             assert selmer.__wrapped__(curve).classes == reference_selmer(curve, places), curve
 
-    # E_5 and E_11 share their Q_2 and Q_3 tables (c = 0); (-6, 49) is the
-    # dual of (3, -10), so its groups read the tables that (3, -10) filled
+    # E_5 and E_11 share their Q_2 and Q_3 tables (c = 0); (3, -10) and
+    # (-6, 49) are each other's duals, so the second reads what the first filled
     @given(a=st.integers(min_value=-60, max_value=60), b=st.integers(min_value=-3000, max_value=3000))
     @example(a=0, b=18 * 25)
     @example(a=0, b=18 * 121)

@@ -321,7 +321,8 @@ class TestVerifyPrime:
         verify_prime(1217, 10)
         # one computation for each curve of the pair, each asked once:
         # every later Selmer lookup is a hit in selmer's own cache
-        assert sorted(calls) == sorted([curve_for_prime(1217), dual_curve(curve_for_prime(1217))])
+        E = curve_for_prime(1217)
+        assert sorted(calls) == sorted([E, dual_curve(E)])
 
     def test_closed_forms_factor_nothing(self, monkeypatch):
         import isodescent.arith as arith_mod
