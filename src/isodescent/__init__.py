@@ -7,6 +7,7 @@ Library layout:
   descent  curves, isogenies, Selmer groups, point search, rank bounds
   family   everything specific to y^2 = x^3 + 18p^2x
   cli      command-line front end (isodescent ...)
+  workers  the forked processes of a multi-process scan
 """
 
 from .arith import (

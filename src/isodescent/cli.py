@@ -250,43 +250,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# a pool chunk's records are held, in the worker and then here, until the
-# whole chunk is done: Pool.map's ceil(n / (4 * jobs)) primes would be
-# 83 073 records at --max 10^7 on 2 jobs
-_MAX_CHUNK = 64
-
-
-def _default_sigterm() -> None:
-    """Pool initializer: a forked worker would inherit the handler that
-    write_records sets; SIGTERM from Pool.terminate must simply end it."""
-    import signal
-
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 def _map_primes(fn, primes: Iterable[int], jobs: int) -> Iterator[dict]:
-    """fn over primes, lazily and in order; at most one process per usable
-    CPU and per prime, and a pool hands out the chunks Pool.map would, up
-    to _MAX_CHUNK primes each.
-
-    Only 4 * _MAX_CHUNK * jobs + 1 primes are read ahead to choose these:
-    past that many, the chunks are _MAX_CHUNK long whatever the count.
-    Pool.imap then takes primes only as its task pipe has room for them.
-    """
+    """fn over primes, lazily and in order, in J = min(jobs, usable CPUs,
+    primes) processes: this one and J - 1 children that workers.forked_map
+    forks.  Without os.fork, a plain map in this process."""
     from itertools import chain, islice
 
-    jobs = min(jobs, _usable_cpus())
     primes = iter(primes)
-    head = list(islice(primes, 4 * _MAX_CHUNK * jobs + 1))
-    jobs = min(jobs, len(head))
-    if jobs <= 1:
-        yield from map(fn, chain(head, primes))
+    head = list(islice(primes, min(jobs, _usable_cpus())))
+    jobs, primes = len(head), chain(head, primes)
+    if jobs <= 1 or not hasattr(os, "fork"):
+        yield from map(fn, primes)
         return
-    import multiprocessing
+    from .workers import forked_map
 
-    chunksize = min(-(-len(head) // (4 * jobs)), _MAX_CHUNK)
-    with multiprocessing.Pool(jobs, initializer=_default_sigterm) as pool:
-        yield from pool.imap(fn, chain(head, primes), chunksize)
+    yield from forked_map(fn, primes, jobs)
 
 
 def execute(config: RunConfig) -> Iterator[dict]:

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-import multiprocessing
+import mmap
 import os
 import signal
 import stat
@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -278,54 +279,71 @@ class TestInconsistencyExitCode:
         assert records and records[0]["consistent"] is False
 
 
-class FakePool:
-    """Records the process count and chunk size asked for and maps serially."""
+def pid_record(p, height_bound=None, columns=None) -> dict:
+    """A record that names the process which computed it."""
+    return {"p": p, "pid": os.getpid()}
 
-    sizes: list[int] = []
-    chunksizes: list[int] = []
 
-    def __init__(self, processes, initializer=None):
-        FakePool.sizes.append(processes)
+def process_count(records) -> int:
+    """J, the processes the records came from: record i must come from
+    process i mod J, and record 0 from this one."""
+    pids = [r["pid"] for r in records]
+    jobs = len(set(pids))
+    assert pids[:1] == [os.getpid()]
+    assert pids == [pids[i % jobs] for i in range(len(pids))]
+    return jobs
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def refuse_fork():
+    raise AssertionError("a one-process run forked")
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
 
-    def imap(self, fn, items, chunksize=1):
-        FakePool.chunksizes.append(chunksize)
-        return map(fn, items)
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body after seconds, so that a hang fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_reaped(pid: int) -> None:
+    with pytest.raises(ProcessLookupError):  # neither running nor a zombie
+        os.kill(pid, 0)
 
 
 class TestPoolClamp:
+    """The pool: this process and the children it forks for a scan."""
+
     @pytest.mark.parametrize(
         "cpus,range_max,expected",
         [(4, 30, [4]), (64, 10, [4]), (None, 30, []), (1, 30, []), (4, 2, [])],
     )
     def test_processes_capped_by_cores_and_primes(self, monkeypatch, cpus, range_max, expected):
+        # expected: the size of the pool, or [] when this process runs alone
         import isodescent.cli as cli_mod
 
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         # the first source of the count (Python 3.13+; None when unknown)
         monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: cpus, raising=False)
-        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(cli_mod, "_report_record", pid_record)
         config = RunConfig(command="scan", range_max=range_max, height_bound=5, parallelism=64)
-        records = list(execute(config))
-        assert records and all(r["consistent"] for r in records)
-        assert FakePool.sizes == expected
+        jobs = process_count(execute(config))
+        assert ([jobs] if jobs > 1 else []) == expected
 
     @pytest.mark.parametrize("source", ["process_cpu_count", "sched_getaffinity", "cpu_count"])
     def test_affinity_smaller_than_cpu_count(self, monkeypatch, source):
         # one usable CPU of two: the default --jobs and the clamp both give
-        # one, so no pool starts; without an affinity API cpu_count is all
+        # one, so nothing is forked; without an affinity API cpu_count is all
         import isodescent.cli as cli_mod
 
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(cli_mod, "_report_record", pid_record)
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
         if source == "process_cpu_count":
             monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 1, raising=False)
@@ -337,74 +355,128 @@ class TestPoolClamp:
             monkeypatch.delattr(cli_mod.os, "sched_getaffinity", raising=False)
         usable = 2 if source == "cpu_count" else 1
         assert parse_args(["scan", "--max", "30"]).parallelism == usable
-        list(execute(RunConfig(command="scan", range_max=30, height_bound=5, parallelism=2)))
-        assert FakePool.sizes == ([2] if usable == 2 else [])
+        records = execute(RunConfig(command="scan", range_max=30, height_bound=5, parallelism=2))
+        assert process_count(records) == usable
 
-    @pytest.mark.parametrize("range_max,jobs,chunksize", [(30, 2, 2), (200, 4, 3), (3000, 2, 54), (5000, 2, 64)])
-    def test_chunk_size_is_pool_maps_up_to_a_cap(self, monkeypatch, range_max, jobs, chunksize):
-        # ceil(n / (4 * jobs)), the chunk size Pool.map picks for n primes,
-        # but at most 64 records wait in any one chunk; the same whether
-        # the primes come as a list or as an iterator of unknown length
+    @pytest.mark.parametrize("range_max,jobs", [(30, 2), (200, 4), (3000, 3), (5000, 2)])
+    def test_record_i_comes_from_process_i_mod_jobs(self, monkeypatch, range_max, jobs):
+        # the same whether the primes come as a list or as an iterator of
+        # unknown length
         import isodescent.cli as cli_mod
 
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(FakePool, "chunksizes", [])
         monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: jobs, raising=False)
-        monkeypatch.setattr(cli_mod, "_report_record", lambda p, height_bound, columns: {"p": p})
+        monkeypatch.setattr(cli_mod, "_report_record", pid_record)
         primes = primes_up_to(range_max)
         runs = [
             execute(RunConfig(command="scan", range_max=range_max, parallelism=jobs)),
-            _map_primes(lambda p: {"p": p}, primes, jobs),
-            _map_primes(lambda p: {"p": p}, iter(primes), jobs),
+            _map_primes(pid_record, primes, jobs),
+            _map_primes(pid_record, iter(primes), jobs),
         ]
         for records in runs:
+            records = list(records)
             assert [r["p"] for r in records] == primes
-        assert FakePool.chunksizes == [chunksize] * 3
+            assert process_count(records) == jobs
 
-    @pytest.mark.parametrize("n,chunksize", [(503, 63), (504, 63), (505, 64), (512, 64), (513, 64), (10**6, 64)])
-    def test_chunk_size_around_the_read_ahead(self, monkeypatch, n, chunksize):
-        # two jobs read at most 4 * 64 * 2 + 1 = 513 primes ahead, enough
-        # to tell every chunk size below the cap from the cap
+    @pytest.mark.parametrize("n,jobs", [(1, 2), (3, 4), (10**6, 2), (10**6, 4)])
+    def test_k_records_read_at_most_jobs_plus_k_primes(self, monkeypatch, n, jobs):
+        # J primes to size the pool, then one per record: each child walks
+        # its own copy of the primes, so none are read here on its behalf
         import isodescent.cli as cli_mod
 
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(FakePool, "chunksizes", [])
-        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
-        source = iter(range(n))
-        records = _map_primes(lambda p: {"p": p}, source, 2)
-        assert [next(records)["p"] for _ in range(3)] == [0, 1, 2]
-        assert FakePool.chunksizes == [chunksize]
-        assert next(source, n) == min(513, n)
-
-    def test_a_pool_takes_primes_as_its_workers_do(self):
-        # Pool.imap's task feeder blocks once its pipe to the workers is
-        # full, so a lazy prime source is not drained ahead of them
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: jobs, raising=False)
         pulled = 0
 
         def source():
             nonlocal pulled
-            for _ in range(10**6):
+            for p in range(n):
                 pulled += 1
-                yield 0.002
+                yield p
 
-        records = _map_primes(time.sleep, source(), 2)
+        records = _map_primes(lambda p: {"p": p}, source(), jobs)
         try:
-            next(records)
-            time.sleep(0.2)
-            assert pulled < 10**5
+            for k in range(1, min(n, 3 * jobs) + 1):
+                assert next(records)["p"] == k - 1
+                assert pulled <= jobs + k
         finally:
             records.close()
 
+    def test_a_child_takes_primes_only_as_its_pipe_has_room(self, monkeypatch):
+        # a child blocks once its pipe to this process is full, so with the
+        # reader stopped it stays a pipe's worth of records (some 4 000 of
+        # these) ahead; its count of primes taken is kept in a shared mapping
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
+        parent = os.getpid()
+        taken = mmap.mmap(-1, 8)
+
+        def source():
+            for p in range(10**6):
+                if os.getpid() != parent:
+                    taken[:] = (int.from_bytes(taken, "little") + 1).to_bytes(8, "little")
+                yield p
+
+        records = _map_primes(lambda p: p, source(), 2)
+        try:
+            assert [next(records) for _ in range(2)] == [0, 1]
+            time.sleep(0.5)
+            assert 0 < int.from_bytes(taken, "little") < 10**5
+        finally:
+            records.close()
+            taken.close()
+
     def test_rank_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(FakePool, "sizes", [])
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.os, "fork", refuse_fork)
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 4, raising=False)
+        monkeypatch.setattr(cli_mod, "_report_record", pid_record)
         records = list(execute(RunConfig(command="rank", p=7, height_bound=5, parallelism=64)))
-        assert [r["p"] for r in records] == [7]
-        assert FakePool.sizes == []
+        assert records == [{"p": 7, "pid": os.getpid()}]
 
 
-def refuse_pool(processes, initializer=None):
-    raise AssertionError(f"a one-prime command asked for a pool of {processes}")
+class TestWorkerFailure:
+    # at J = 2, 13 is record 5, a child's
+    PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+    def scan(self, monkeypatch, fn, error) -> tuple[list, pytest.ExceptionInfo]:
+        """The records _map_primes yields at J = 2 before it raises error."""
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
+        seen = []
+        with deadline(30), pytest.raises(error) as raised:
+            for record in _map_primes(fn, self.PRIMES, 2):
+                seen.append(record)
+        return seen, raised
+
+    def test_a_child_that_dies_ends_the_scan(self, monkeypatch):
+        # a child killed outright, as by the OOM killer, sends nothing more:
+        # the scan fails at once, naming it, and leaves no process behind
+        def fn(p):
+            if p == 13:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pid_record(p)
+
+        start = time.monotonic()
+        seen, raised = self.scan(monkeypatch, fn, ChildProcessError)
+        assert time.monotonic() - start < 10
+        assert [r["p"] for r in seen] == [2, 3, 5, 7, 11]
+        child = seen[1]["pid"]
+        assert str(raised.value) == f"scan worker {child} ended before its record for p = 13"
+        assert_reaped(child)
+
+    def test_a_childs_exception_reaches_this_process(self, monkeypatch):
+        def fn(p):
+            if p == 13:
+                raise ValueError(f"no record for {p}")
+            return pid_record(p)
+
+        seen, raised = self.scan(monkeypatch, fn, ValueError)
+        assert raised.type is ValueError and str(raised.value) == "no record for 13"
+        assert [r["p"] for r in seen] == [2, 3, 5, 7, 11]
+        assert seen[1]["pid"] != os.getpid()
+        assert_reaped(seen[1]["pid"])
 
 
 class TestOnePath:
@@ -416,10 +488,20 @@ class TestOnePath:
     def test_one_prime_runs_in_process(self, monkeypatch, command):
         import isodescent.cli as cli_mod
 
-        monkeypatch.setattr(multiprocessing, "Pool", refuse_pool)
+        monkeypatch.setattr(cli_mod.os, "fork", refuse_fork)
         monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 4, raising=False)
+        monkeypatch.setattr(cli_mod, f"_{command}_record", pid_record)
         records = list(execute(RunConfig(command=command, p=1217, parallelism=4)))
-        assert [r["p"] for r in records] == [1217]
+        assert records == [{"p": 1217, "pid": os.getpid()}]
+
+    def test_a_platform_without_fork_runs_in_one_process(self, monkeypatch):
+        import isodescent.cli as cli_mod
+
+        monkeypatch.delattr(cli_mod.os, "fork")
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 4, raising=False)
+        records = list(_map_primes(pid_record, primes_up_to(30), 4))
+        assert [r["p"] for r in records] == primes_up_to(30)
+        assert process_count(records) == 1
 
     @pytest.mark.parametrize("command", ["classify", "selmer"])
     def test_one_primality_test_of_p(self, monkeypatch, command):
@@ -440,7 +522,7 @@ class TestOnePath:
 
 class TestImports:
     def test_cli_loads_no_dataclasses_or_multiprocessing(self):
-        # a process that runs no pool needs neither module; both cost start-up time
+        # no CLI process needs either module; both cost start-up time
         script = (
             "import sys\n"
             "import isodescent.cli as cli\n"
@@ -454,6 +536,19 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)[0]["p"] == 7
         assert proc.stderr.decode().strip() == "[[], []]"
+
+    def test_a_two_job_scan_loads_no_dataclasses_or_multiprocessing(self):
+        # the scan's workers are forked directly, with no multiprocessing.Pool
+        script = (
+            "import sys\n"
+            "import isodescent.cli as cli\n"
+            "cli.main(['scan', '--max', '60', '--height-bound', '20', '--jobs', '2', '--format', 'csv'])\n"
+            "print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert len(parse_records_csv(proc.stdout)) == 17
+        assert proc.stderr.decode().strip() == "[]"
 
 
 class TestScanDeterminism:
