@@ -400,6 +400,30 @@ class TestPoolClamp:
         finally:
             records.close()
 
+    @pytest.mark.parametrize("n,chunksize", [(503, 63), (504, 63), (505, 64), (512, 64), (513, 64), (10**6, 64)])
+    def test_chunk_size_around_the_read_ahead(self, monkeypatch, n, chunksize):
+        # a pool once read 4 * 64 * 2 + 1 = 513 primes ahead to choose its
+        # chunk size (chunksize here) for n primes on two jobs; around that
+        # n, the chunksize records of one such chunk now pull at most
+        # J + chunksize primes
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
+        pulled = 0
+
+        def source():
+            nonlocal pulled
+            for p in range(n):
+                pulled += 1
+                yield p
+
+        records = _map_primes(lambda p: {"p": p}, source(), 2)
+        try:
+            assert [next(records)["p"] for _ in range(chunksize)] == list(range(chunksize))
+            assert pulled <= 2 + chunksize < min(513, n)
+        finally:
+            records.close()
+
     def test_a_child_takes_primes_only_as_its_pipe_has_room(self, monkeypatch):
         # a child blocks once its pipe to this process is full, so with the
         # reader stopped it stays a pipe's worth of records (some 4 000 of
