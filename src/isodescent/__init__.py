@@ -55,8 +55,6 @@ from .local import (
     INFINITY,
     Place,
     QuarticForm,
-    Verdict,
-    brute_oracle,
     solvable_everywhere_locally,
     solvable_padic,
     solvable_real,

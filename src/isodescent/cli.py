@@ -18,9 +18,8 @@ descent curve the engine cannot take among them), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
+import errno
 import io
-import json
 import os
 import sys
 import tempfile
@@ -66,18 +65,6 @@ _REPR = ("repr_3p_a", "repr_3p_b", "repr_p_a", "repr_p_b")
 _SCHEMAS = {
     "rank": (*_RANK_HEAD, "consistent"),
     "scan": (*_RANK_HEAD, *_SELMER_CLASSES, *_REPR, "consistent"),
-}
-
-
-def _optional_int(cell: str) -> Optional[int]:
-    return int(cell) if cell else None
-
-
-# CSV cell parser per typed column; every other column is a string
-_CELL_TYPES = {
-    **dict.fromkeys(("spec_version", "p", "a", "b", "mod24", *_BOUNDS), int),
-    **dict.fromkeys(("quartic2", *_REPR), _optional_int),
-    "consistent": lambda cell: cell == "true",
 }
 
 
@@ -267,6 +254,11 @@ def _map_primes(fn, primes: Iterable[int], jobs: int) -> Iterator[dict]:
     yield from forked_map(fn, primes, jobs)
 
 
+def _descent_records(config: RunConfig) -> Iterator[dict]:
+    bounds = rank_bounds(CurveModel(config.a, config.b), config.height_bound)
+    yield {"spec_version": SPEC_VERSION, "a": config.a, "b": config.b, **bounds._asdict()}
+
+
 def execute(config: RunConfig) -> Iterator[dict]:
     """The configured command's records, in order.
 
@@ -277,8 +269,7 @@ def execute(config: RunConfig) -> Iterator[dict]:
     """
     command = config.command
     if command == "descent":
-        bounds = rank_bounds(CurveModel(config.a, config.b), config.height_bound)
-        return iter([{"spec_version": SPEC_VERSION, "a": config.a, "b": config.b, **bounds._asdict()}])
+        return _descent_records(config)
     report = partial(
         _report_record, height_bound=config.height_bound, columns=_SCHEMAS.get(command)
     )
@@ -304,6 +295,8 @@ def _csv_cell(value) -> str:
 
 def _json_chunks(records: Iterable[dict], columns) -> Iterator[str]:
     """json.dumps(list(records), indent=2) + "\n", one record at a time."""
+    import json
+
     encode = json.JSONEncoder(indent=2).encode
     opening = "[\n  "
     for rec in records:
@@ -314,6 +307,8 @@ def _json_chunks(records: Iterable[dict], columns) -> Iterator[str]:
 
 def _csv_chunks(records: Iterable[dict], columns) -> Iterator[str]:
     """The header (the first record's keys, else columns), then a row per record."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     header = None
@@ -377,11 +372,12 @@ def write_records(
     """Serialize records as they arrive, one write per record (text: one
     write in all), to path or else stdout; returns the bytes written.
 
-    A path gets write-then-rename, so a failure leaves no partial file;
-    the file gets mode 0o666 less the umask, as a newly created file
-    would.  A SIGTERM meanwhile removes the temp file, then ends the
-    process by that signal.  columns supplies the header when there are
-    no records.
+    A path gets write-then-rename, so a failure leaves no partial file,
+    and a path that names a directory raises IsADirectoryError before the
+    first record is pulled; the file gets mode 0o666 less the umask, as a
+    newly created file would.  A SIGTERM meanwhile removes the temp file,
+    then ends the process by that signal.  columns supplies the header
+    when there are no records.
     """
     chunks = _CHUNKS.get(output_format)
     if chunks is None:
@@ -391,6 +387,9 @@ def write_records(
         size = _write_chunks(sys.stdout.buffer, chunks)
         sys.stdout.buffer.flush()
         return size
+    if os.path.isdir(path) and not os.path.islink(path):
+        # the rename onto it would fail only after every record is computed
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     import signal
     import threading
 
@@ -425,15 +424,6 @@ def write_records(
         if handled:
             signal.signal(signal.SIGTERM, previous)
     return size
-
-
-def parse_records_csv(data: bytes) -> list[dict]:
-    """Inverse of write_records(..., "csv"): restores the documented column types."""
-    rows = list(csv.reader(io.StringIO(data.decode())))
-    if not rows:
-        return []
-    header, *body = rows
-    return [{key: _CELL_TYPES.get(key, str)(cell) for key, cell in zip(header, row)} for row in body]
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -19,10 +19,9 @@ arithmetic.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .arith import _factorization, class_product, factorize, squarefree_class
 from .local import (
@@ -32,6 +31,11 @@ from .local import (
     _GroupVerdicts,
     solvable_everywhere_locally,
 )
+
+if TYPE_CHECKING:
+    # points are built by the few functions that import fractions themselves:
+    # no rank bound or Selmer group needs it
+    from fractions import Fraction
 
 # Mazur: rational torsion has order at most 12
 _MAX_TORSION_ORDER = 12
@@ -69,6 +73,8 @@ class CurvePoint(NamedTuple):
 
     @classmethod
     def affine(cls, x, y) -> "CurvePoint":
+        from fractions import Fraction
+
         return cls(Fraction(x), Fraction(y))
 
     @property
@@ -77,7 +83,7 @@ class CurvePoint(NamedTuple):
 
 
 class HomSpacePoint(
-    NamedTuple("HomSpacePoint", [("b1", int), ("z", Fraction), ("w", Fraction)])
+    NamedTuple("HomSpacePoint", [("b1", int), ("z", "Fraction"), ("w", "Fraction")])
 ):
     """Rational point (z, w) on w^2 = b1 + a*z^2 + (b/b1)*z^4, z != 0."""
 
@@ -353,6 +359,8 @@ def search_homspace_points(E: CurveModel, b1: int, height_bound: int) -> list[Ho
         raise ValueError("height_bound must be >= 1")
     if b1 not in divisor_classes(E.b):
         raise ValueError(f"{b1} is not a divisor class of b = {E.b}")
+    from fractions import Fraction
+
     points: list[HomSpacePoint] = []
     for m, e, wn in sorted(_search_class(E, b1, height_bound)):
         z = Fraction(m, e)
@@ -365,6 +373,8 @@ def search_homspace_points(E: CurveModel, b1: int, height_bound: int) -> list[Ho
 
 def homspace_to_curve(E: CurveModel, P: HomSpacePoint) -> CurvePoint:
     """(z, w) on the b1 space maps to (b1/z^2, b1*w/z^3) on E."""
+    from fractions import Fraction
+
     x = Fraction(P.b1) / (P.z * P.z)
     y = Fraction(P.b1) * P.w / (P.z * P.z * P.z)
     point = CurvePoint(x, y)

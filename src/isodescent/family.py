@@ -17,7 +17,6 @@ tests it once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional
@@ -196,6 +195,8 @@ def witness_homspace_point(p: int, w: ReprWitness) -> HomSpacePoint:
     3p = a^4 + 2b^4 gives (z, w) = (b/a, 3p/a^2) on w^2 = 3p + 6p*z^4;
     p = a^4 + 18b^4 gives (z, w) = (b/a, p/a^2) on w^2 = p + 18p*z^4.
     """
+    from fractions import Fraction
+
     curve = curve_for_prime(p)
     a, b = w.a, w.b
     if w.kind == KIND_3P:

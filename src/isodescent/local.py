@@ -1,55 +1,51 @@
 """Local solvability of quartic spaces w^2 = d1 + c*z^2 + d2*z^4.
 
 Decides existence of points over the reals and over every Q_l, which is
-what membership in a descent Selmer group reduces to.  Two independent
-routes are provided:
+what membership in a descent Selmer group reduces to.
 
-  * solvable_padic: a complete residue-recursion engine that answers
-    True or False.  A Q_l-point exists iff a Z_l-point (with v(z) >= 0)
-    exists on the form or on its reciprocal (d2, c, d1), the image of
-    z -> 1/z, w -> w/z^2; points with v(z) < 0 are never enumerated
-    directly.  Each Z_l question is decided by recursing on residue discs
-    around roots of the reduced polynomial, stripping even powers of l
-    from the content as it goes.  Recursion depth is capped at
-    D = v_l(4*d1*d2*(c^2-4*d1*d2)) + 3 (two more at l = 2); exceeding the
-    cap raises rather than guessing.
+solvable_padic is a complete residue-recursion engine that answers
+True or False.  A Q_l-point exists iff a Z_l-point (with v(z) >= 0)
+exists on the form or on its reciprocal (d2, c, d1), the image of
+z -> 1/z, w -> w/z^2; points with v(z) < 0 are never enumerated
+directly.  Each Z_l question is decided by recursing on residue discs
+around roots of the reduced polynomial, stripping even powers of l
+from the content as it goes.  Recursion depth is capped at
+D = v_l(4*d1*d2*(c^2-4*d1*d2)) + 3 (two more at l = 2); exceeding the
+cap raises rather than guessing.
 
-    At odd l nothing walks all of F_l, so the cost is polynomial in log l.
-    Every reduction g the search meets is a quadratic in u = z^2 (an even
-    quartic) or in u = z (degree <= 2); see _as_quadratic for why.  So
-    its roots come from the quadratic formula and modular square roots
-    (Tonelli-Shanks), and g = c*h^2 mod l iff the discriminant vanishes.
-    Residues are tested with Euler's criterion, and the walk for a first
-    square unit value stops at the first non-square one when g = c*h^2
-    mod l (every unit value then has the character of c), while
-    otherwise Weil's bound guarantees a square value once l >= 17.  At
-    l = 2 units are recognized mod 8 by a walk over residues mod 8.
+At odd l nothing walks all of F_l, so the cost is polynomial in log l.
+Every reduction g the search meets is a quadratic in u = z^2 (an even
+quartic) or in u = z (degree <= 2); see _as_quadratic for why.  So
+its roots come from the quadratic formula and modular square roots
+(Tonelli-Shanks), and g = c*h^2 mod l iff the discriminant vanishes.
+Residues are tested with Euler's criterion, and the walk for a first
+square unit value stops at the first non-square one when g = c*h^2
+mod l (every unit value then has the character of c), while
+otherwise Weil's bound guarantees a square value once l >= 17.  At
+l = 2 units are recognized mod 8 by a walk over residues mod 8.
 
-    The descent asks solvable_padic once per class of the form over Q_l.
-    For u, v in Q_l*, z -> u*z, w -> v*w takes (d1, c, d2) to
-    (v^2*d1, u^2*v^2*c, u^4*v^2*d2) (Cremona, Algorithms for Modular
-    Elliptic Curves, 3.5).  With u*v = 1 this fixes c and d1*d2, so the
-    verdict depends only on l, c, d1*d2 and the class of d1 in
-    Q_l*/Q_l*^2.  When c = 0 any u, v will do, and the class of d1 in
-    Q_l*/Q_l*^2 with that of d1*d2 in Q_l*/Q_l*^4 fix the form exactly.
-    So the Q_l key (l, c, d1*d2 or its class mod fourth powers) of
-    _fixed_key leaves only the class of d1 free, and the class bits
-    (_square_class_bits) write that class as a vector over F_2 of at most
-    3 bits.  _verdict_table gives each key one table of 8 verdicts,
-    indexed by those bits and filled on first use, and keeps the tables of
-    the 256 most recently used keys.  The spaces of one Selmer group share
-    c and d1*d2, so each of its places (_GroupVerdicts) reads one table,
-    and different curves with a key in common read the same one.  One
-    Selmer group costs at most 8 + 4*(number of odd bad places)
-    solvable_padic calls, and the c = 0 spaces of different curves share
-    their verdicts: all E_p : y^2 = x^3 + 18p^2x with p > 3 ask the same
-    32 Q_2 and 8 Q_3 questions at most, over both sides.
+The descent asks solvable_padic once per class of the form over Q_l.
+For u, v in Q_l*, z -> u*z, w -> v*w takes (d1, c, d2) to
+(v^2*d1, u^2*v^2*c, u^4*v^2*d2) (Cremona, Algorithms for Modular
+Elliptic Curves, 3.5).  With u*v = 1 this fixes c and d1*d2, so the
+verdict depends only on l, c, d1*d2 and the class of d1 in
+Q_l*/Q_l*^2.  When c = 0 any u, v will do, and the class of d1 in
+Q_l*/Q_l*^2 with that of d1*d2 in Q_l*/Q_l*^4 fix the form exactly.
+So the Q_l key (l, c, d1*d2 or its class mod fourth powers) of
+_fixed_key leaves only the class of d1 free, and the class bits
+(_square_class_bits) write that class as a vector over F_2 of at most
+3 bits.  _verdict_table gives each key one table of 8 verdicts,
+indexed by those bits and filled on first use, and keeps the tables of
+the 256 most recently used keys.  The spaces of one Selmer group share
+c and d1*d2, so each of its places (_GroupVerdicts) reads one table,
+and different curves with a key in common read the same one.  One
+Selmer group costs at most 8 + 4*(number of odd bad places)
+solvable_padic calls, and the c = 0 spaces of different curves share
+their verdicts: all E_p : y^2 = x^3 + 18p^2x with p > 3 ask the same
+32 Q_2 and 8 Q_3 questions at most, over both sides.
 
-  * brute_oracle: a breadth-first residue search that only ever reports a
-    definite answer with a certificate (an exact Z_l-square value, or a
-    proof that every residue class mod l^k is pinned to a non-square).
-    Used by the test suite to cross-examine the engine; tri-state because
-    it must never claim completeness beyond its depth.
+The test suite cross-examines solvable_padic with an independent,
+certified breadth-first residue search (tests/oracle.py).
 
 Values that are exact squares in Z_l include 0: a point with w = 0 is a
 point.  All arithmetic is exact.
@@ -57,7 +53,6 @@ point.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
@@ -106,12 +101,6 @@ class Place(NamedTuple("Place", [("prime", Optional[int])])):
 
 
 INFINITY = Place(None)
-
-
-class Verdict(Enum):
-    SOLVABLE = "solvable"
-    UNSOLVABLE = "unsolvable"
-    UNKNOWN = "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -452,53 +441,3 @@ def solvable_everywhere_locally(
         if not verdict:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# brute oracle
-
-
-def _bfs_one(f: Poly, l: int, depth: int) -> Verdict:
-    """Breadth-first certified search for z in Z_l with f(z) a square."""
-    prune_gap = 3 if l == 2 else 1
-    live = [0]
-    modulus = 1
-    for k in range(1, depth + 1):
-        nxt: list[int] = []
-        for base in live:
-            for digit in range(l):
-                z0 = base + digit * modulus
-                val = _poly_eval(f, z0)
-                if is_zl_square(val, l):
-                    return Verdict.SOLVABLE
-                # f(z) = val mod l^k on the whole class; once v(val) is
-                # far enough below k the square-ness of the class is pinned.
-                if _vl(val, l) <= k - prune_gap:
-                    continue
-                nxt.append(z0)
-        if not nxt:
-            return Verdict.UNSOLVABLE
-        live = nxt
-        modulus *= l
-    return Verdict.UNKNOWN
-
-
-def brute_oracle(q: QuarticForm, l: int, depth: int) -> Verdict:
-    """Tri-state exhaustive residue search over the form and its reciprocal.
-
-    SOLVABLE and UNSOLVABLE are certified; UNKNOWN means the depth ran out
-    before every residue branch was decided.
-    """
-    if not is_prime(l):
-        raise ValueError(f"brute_oracle requires a prime, got {l}")
-    if depth < 1:
-        raise ValueError(f"brute_oracle requires depth >= 1, got {depth}")
-    a = _bfs_one(_form_poly(q), l, depth)
-    if a is Verdict.SOLVABLE:
-        return a
-    b = _bfs_one(_form_poly(q.reciprocal()), l, depth)
-    if b is Verdict.SOLVABLE:
-        return b
-    if a is Verdict.UNSOLVABLE and b is Verdict.UNSOLVABLE:
-        return Verdict.UNSOLVABLE
-    return Verdict.UNKNOWN

@@ -36,7 +36,8 @@ from isodescent.family import (
     proposition_rank,
     witness_homspace_point,
 )
-from isodescent.local import QuarticForm, Verdict, brute_oracle, solvable_padic
+from isodescent.local import QuarticForm, solvable_padic
+from oracle import Verdict, brute_oracle
 
 PRIME_SET = primes_up_to(2000) + [5297, 9521, 19249]
 

@@ -23,9 +23,9 @@ from isodescent.cli import (
     execute,
     main,
     parse_args,
-    parse_records_csv,
     write_records,
 )
+from records_csv import parse_records_csv
 
 
 def emitted(records, fmt: str, capsysbinary, columns=None) -> bytes:
@@ -195,6 +195,30 @@ class TestMainExitCodes:
             ["classify", "--p", "7", "--format", "csv", "--out", "/nonexistent-dir/x.csv"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv,engine",
+        [
+            (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime"),
+            (["descent", "--a", "0", "--b", "2"], "rank_bounds"),
+        ],
+        ids=["scan", "descent"],
+    )
+    def test_out_names_a_directory(self, monkeypatch, tmp_path, capsys, argv, engine):
+        # refused before the first record is computed, not by the rename
+        # once every record is written
+        import isodescent.cli as cli_mod
+
+        calls = []
+        compute = getattr(cli_mod, engine)
+        monkeypatch.setattr(cli_mod, engine, lambda *args: calls.append(args) or compute(*args))
+        (tmp_path / "outdir").mkdir()
+        assert main([*argv, "--out", str(tmp_path / "outdir")]) == 3
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output:"), err
+        assert [f.name for f in tmp_path.iterdir()] == ["outdir"]
+        assert list((tmp_path / "outdir").iterdir()) == []
 
     def test_usage_error_subprocess(self):
         proc = run_cli(["rank", "--p", "15"])
@@ -545,34 +569,53 @@ class TestOnePath:
 
 
 class TestImports:
-    def test_cli_loads_no_dataclasses_or_multiprocessing(self):
-        # no CLI process needs either module; both cost start-up time
+    @staticmethod
+    def loaded(argv: list[str], modules: tuple[str, ...]) -> tuple[bytes, list[str], list[str]]:
+        """The output of argv run in a fresh interpreter, and which of modules
+        were loaded by importing the CLI and then by the run."""
         script = (
             "import sys\n"
+            f"unused = set({modules!r})\n"
             "import isodescent.cli as cli\n"
-            "unused = ('dataclasses', 'multiprocessing')\n"
-            "loaded = [[m for m in unused if m in sys.modules]]\n"
-            "cli.main(['rank', '--p', '7', '--height-bound', '5', '--format', 'json'])\n"
-            "loaded.append([m for m in unused if m in sys.modules])\n"
-            "print(loaded, file=sys.stderr)\n"
+            "print(*sorted(unused & set(sys.modules)), file=sys.stderr)\n"
+            f"cli.main({argv!r})\n"
+            "print(*sorted(unused & set(sys.modules)), file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)[0]["p"] == 7
-        assert proc.stderr.decode().strip() == "[[], []]"
+        imported, ran = proc.stderr.decode().split("\n")[:2]
+        return proc.stdout, imported.split(), ran.split()
+
+    def test_cli_loads_no_dataclasses_or_multiprocessing(self):
+        # no CLI process needs either module; both cost start-up time
+        out, imported, ran = self.loaded(
+            ["rank", "--p", "7", "--height-bound", "5", "--format", "json"], ("dataclasses", "multiprocessing")
+        )
+        assert json.loads(out)[0]["p"] == 7
+        assert imported == ran == []
 
     def test_a_two_job_scan_loads_no_dataclasses_or_multiprocessing(self):
         # the scan's workers are forked directly, with no multiprocessing.Pool
-        script = (
-            "import sys\n"
-            "import isodescent.cli as cli\n"
-            "cli.main(['scan', '--max', '60', '--height-bound', '20', '--jobs', '2', '--format', 'csv'])\n"
-            "print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)), file=sys.stderr)\n"
+        out, _, ran = self.loaded(
+            ["scan", "--max", "60", "--height-bound", "20", "--jobs", "2", "--format", "csv"],
+            ("dataclasses", "multiprocessing"),
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert len(parse_records_csv(proc.stdout)) == 17
-        assert proc.stderr.decode().strip() == "[]"
+        assert len(parse_records_csv(out)) == 17
+        assert ran == []
+
+    def test_a_json_rank_loads_no_fractions_or_csv(self):
+        # no rank record builds a Fraction, and csv serves only --format csv
+        out, _, ran = self.loaded(["rank", "--p", "7", "--format", "json"], ("fractions", "decimal", "csv"))
+        assert json.loads(out)[0]["p"] == 7
+        assert ran == []
+
+    def test_a_csv_scan_loads_no_fractions_or_json(self):
+        out, _, ran = self.loaded(
+            ["scan", "--max", "60", "--height-bound", "20", "--jobs", "2", "--format", "csv"],
+            ("fractions", "decimal", "json"),
+        )
+        assert len(parse_records_csv(out)) == 17
+        assert ran == []
 
 
 class TestScanDeterminism:

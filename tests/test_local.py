@@ -12,13 +12,12 @@ from isodescent.local import (
     INFINITY,
     Place,
     QuarticForm,
-    Verdict,
-    brute_oracle,
     is_zl_square,
     solvable_everywhere_locally,
     solvable_padic,
     solvable_real,
 )
+from oracle import Verdict, brute_oracle
 
 
 class TestQuarticForm:
