@@ -350,8 +350,14 @@ def _write_chunks(out, chunks: Iterable[str]) -> int:
         size += len(data)
         while data:
             # an unbuffered stdout (python -u) is a raw FileIO, which may
-            # take only part of a write
-            data = data[out.write(data):]
+            # take only part of a write, or none (None) if non-blocking
+            written = out.write(data)
+            if written is None:
+                import select
+
+                select.select([], [out], [])
+            else:
+                data = data[written:]
     return size
 
 

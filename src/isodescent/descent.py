@@ -260,15 +260,38 @@ _SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29)
 _BLOCK_BITS = 4096
 
 
-# keyed by residues only: a = 0 on every E_p and its dual, so most classes
-# of a scan share their rows with an earlier curve; rows of the full block
-# width fill about 5 KiB an entry, so the cache holds at most about 5 MiB
+def _every(q: int, nbits: int) -> int:
+    """A 1 every q bits, past bit nbits + q."""
+    return ((1 << (nbits // q + 2) * q) - 1) // ((1 << q) - 1)
+
+
+@lru_cache(maxsize=None)
+def _square_scalings(q: int) -> tuple[int, ...]:
+    """Entry x: for a unit x, the unit square s with s*x least; else 0."""
+    squares = {u * u % q for u in range(q) if gcd(u, q) == 1}
+    return tuple(min(squares, key=lambda s: s * x % q) if gcd(x, q) == 1 else 0 for x in range(q))
+
+
+def _orbit_key(q: int, b1: int, a: int, d2: int) -> tuple[int, int, int]:
+    """One member of the orbit of (b1, a, d2) mod q under the unit squares,
+    the same for all: scaling the quartic by a unit square keeps its square
+    values square mod q, so the orbit has one set of sieve rows."""
+    scale = _square_scalings(q)
+    s = scale[d2 % q] or scale[b1 % q] or scale[a % q] or 1
+    return s * b1 % q, s * a % q, s * d2 % q
+
+
+# keyed by residues only, one triple per orbit (_orbit_key): a = 0 on every
+# E_p and its dual, so most classes of a scan share their rows with an
+# earlier curve; rows of the full block width fill about 5 KiB an entry, so
+# the cache holds at most about 5 MiB
 @lru_cache(maxsize=1024)
-def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[int, ...]:
-    """Entry r is the nbits-bit row whose bit j is set when m = m0 + j
-    makes b1*r^4 + a*m^2*r^2 + d2*m^4 a square mod q and shares no prime
-    of q with r (all arguments but nbits taken mod q): the row of every
-    denominator e = r (mod q).
+def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[tuple[int, ...], int]:
+    """(rows, live).  Entry r of rows is the nbits-bit row whose bit j is
+    set when m = m0 + j makes b1*r^4 + a*m^2*r^2 + d2*m^4 a square mod q
+    and shares no prime of q with r (all arguments but nbits taken mod q):
+    the row of every denominator e = r (mod q).  Bit r of live is set
+    when row r is not empty.
 
     q is a prime power, so a pair (m, e) left out for a common prime of
     q has gcd(m, e) > 1 and is no primitive point.  Entries r and q - r
@@ -277,7 +300,7 @@ def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[
     """
     sq = [s * s % q for s in range(q)]
     squares = set(sq)
-    repeat = ((1 << (nbits // q + 2) * q) - 1) // ((1 << q) - 1)  # 1 every q bits
+    repeat = _every(q, nbits)
     full = (1 << nbits) - 1
     coprime = sum(1 << s for s in range(q) if gcd(s, q) == 1)
     half = []
@@ -288,7 +311,8 @@ def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[
             mask &= coprime
         # repeated past nbits + q bits, then shifted so bit j is residue m0 + j
         half.append(mask * repeat >> m0 & full)
-    return tuple(half + half[1 : (q + 1) // 2][::-1])
+    rows = tuple(half + half[1 : (q + 1) // 2][::-1])
+    return rows, sum(1 << r for r, row in enumerate(rows) if row)
 
 
 def _search_class(
@@ -300,23 +324,24 @@ def _search_class(
     A square sieve in the style of ratpoints.  For each denominator e the
     candidate numerators form a bitset row of _BLOCK_BITS bits at a time:
     the AND, over the moduli q of _SIEVE_MODULI, of the rows (_sieve_rows,
-    shared by every class with the same residues) of the m for which
-    b1*e^4 + a*m^2*e^2 + d2*m^4 is a square mod q and which share no
-    prime of q with e.  A square integer is a square mod every q and a
+    shared by every class with residues in one orbit, _orbit_key) of the m
+    for which b1*e^4 + a*m^2*e^2 + d2*m^4 is a square mod q and which share
+    no prime of q with e.  A square integer is a square mod every q and a
     primitive pair has no common prime, so no hit is sieved out.  Pairs
     with a common prime of the moduli never reach the exact gcd and isqrt
     test that each surviving m gets; the gcd still rules out common
-    primes above 29.  Blocks are visited in rings of increasing
+    primes above 29.  A block walks only the e for which no modulus has an
+    empty row.  Blocks are visited in rings of increasing
     max(block of m, block of e), so memory does not grow with the height
     bound.
 
-    The hits are yielded in ring order: the first lies in the innermost
-    ring of blocks holding one, but need not be the smallest point.  A
-    caller that takes only the first hit stops the search there.
+    The hits are yielded by ring, block, e, then m: the first lies in the
+    innermost ring of blocks holding one, but need not be the smallest
+    point.  A caller that takes only the first hit stops the search there.
     """
     a, d2 = curve.a, curve.b // b1
     width = min(_BLOCK_BITS, height_bound)
-    residues = [(q, b1 % q, a % q, d2 % q) for q in _SIEVE_MODULI]
+    residues = [(q, *_orbit_key(q, b1, a, d2)) for q in _SIEVE_MODULI]
     for ring in range(-(-height_bound // width)):
         # the blocks (i, j) of m and e with max(i, j) = ring
         outer = itertools.chain(((ring, j) for j in range(ring + 1)), ((i, ring) for i in range(ring)))
@@ -324,8 +349,19 @@ def _search_class(
             m0 = i * width + 1
             nbits = min(width, height_bound + 1 - m0)
             full = (1 << nbits) - 1
-            sieve = [(q, _sieve_rows(q, b1q, aq, d2q, m0 % q, nbits)) for q, b1q, aq, d2q in residues]
-            for e in range(j * width + 1, min((j + 1) * width, height_bound) + 1):
+            e0 = j * width + 1
+            ebits = min(width, height_bound + 1 - e0)
+            # bit k of alive is e = e0 + k
+            alive = (1 << ebits) - 1
+            sieve = []
+            for q, b1q, aq, d2q in residues:
+                rows, live = _sieve_rows(q, b1q, aq, d2q, m0 % q, nbits)
+                alive &= live * _every(q, ebits) >> e0 % q
+                sieve.append((q, rows))
+            while alive:
+                low = alive & -alive
+                alive ^= low
+                e = e0 + low.bit_length() - 1
                 row = full
                 for q, masks in sieve:
                     row &= masks[e % q]

@@ -6,8 +6,13 @@ from contextlib import contextmanager
 # allow running the suite from a fresh checkout without installing: src/
 # goes on this process's path and on PYTHONPATH, which the subprocesses
 # that run the CLI inherit
-_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+_SRC = os.path.join(os.path.dirname(_TESTS), "src")
 sys.path.insert(0, _SRC)
+# the test modules import conftest, oracle and records_csv as top-level
+# modules, which pytest's importlib import mode does not make importable
+if _TESTS not in sys.path:
+    sys.path.insert(0, _TESTS)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 

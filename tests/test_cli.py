@@ -7,6 +7,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -20,6 +21,7 @@ from isodescent.cli import (
     _SCHEMAS,
     _map_primes,
     _report_record,
+    _write_chunks,
     execute,
     main,
     parse_args,
@@ -693,6 +695,47 @@ class TestStreaming:
         data = target.read_bytes()
         count = len(json.loads(data)) if fmt == "json" else data.count(b"\r\n") - 1
         assert count == 20_000
+
+
+class TestNonBlockingOutput:
+    def test_waits_for_a_late_reader(self):
+        # a non-blocking pipe that fills before its reader starts: the raw
+        # FileIO returns None from each write that would block, and the
+        # writer must wait for the pipe, not call write again at once
+        chunks = [bytes([65 + k % 26]) * 10_000 + b"\n" for k in range(40)]
+        r, w = os.pipe()
+        os.set_blocking(w, False)
+        received = []
+
+        def read_late():
+            time.sleep(0.3)
+            with open(r, "rb") as reader:
+                received.append(reader.read())
+
+        class Counted:
+            def __init__(self, raw):
+                self.raw, self.calls = raw, 0
+
+            def write(self, data):
+                self.calls += 1
+                return self.raw.write(data)
+
+            def fileno(self):
+                return self.raw.fileno()
+
+        reader = threading.Thread(target=read_late)
+        reader.start()
+        try:
+            with open(w, "wb", buffering=0) as raw:
+                out = Counted(raw)
+                size = _write_chunks(out, (c.decode() for c in chunks))
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [b"".join(chunks)]
+        assert size == len(received[0])
+        # each wait ends with at least a page free: a few writes a chunk
+        assert out.calls <= 10 * len(chunks), out.calls
 
 
 class TestTerminatedOut:

@@ -34,7 +34,7 @@ from isodescent.descent import (
     selmer,
     torsion_info,
 )
-from isodescent.family import verify_prime
+from isodescent.family import curve_for_prime, verify_prime
 from isodescent.local import INFINITY, Place, QuarticForm, solvable_padic, solvable_real
 
 E7 = CurveModel(0, 18 * 49)
@@ -388,10 +388,33 @@ def walk_search_class(curve, b1, height_bound, first_only, lowest=1):
     return hits
 
 
+def ordered_search_class(curve, b1, height_bound, width):
+    """Every primitive hit in the order the sieve yields them: rings of
+    blocks of width numbers, the blocks of a ring, then e ascending, then
+    m ascending, with a gcd and an isqrt for each pair."""
+    a, d2 = curve.a, curve.b // b1
+
+    def span(k):
+        return range(k * width + 1, min((k + 1) * width, height_bound) + 1)
+
+    hits = []
+    for ring in range(-(-height_bound // width)):
+        for i, j in [(ring, j) for j in range(ring + 1)] + [(i, ring) for i in range(ring)]:
+            for e in span(j):
+                for m in span(i):
+                    n = b1 * e**4 + a * m * m * e * e + d2 * m**4
+                    if gcd(m, e) == 1 and n >= 0 and isqrt(n) ** 2 == n:
+                        hits.append((m, e, isqrt(n)))
+    return hits
+
+
 def _assert_sieve_matches_walk(curve, height_bound):
+    width = min(descent._BLOCK_BITS, height_bound)
     for b1 in divisor_classes(curve.b):
         want = sorted(walk_search_class(curve, b1, height_bound, first_only=False))
-        assert sorted(descent._search_class(curve, b1, height_bound)) == want, b1
+        got = list(descent._search_class(curve, b1, height_bound))
+        assert sorted(got) == want, b1
+        assert got == ordered_search_class(curve, b1, height_bound, width), b1
         first = list(itertools.islice(descent._search_class(curve, b1, height_bound), 1))
         assert len(first) == min(len(want), 1), b1
         assert set(first) <= set(want), b1
@@ -473,12 +496,61 @@ class TestSearchSieve:
         squares = {s * s % q for s in range(q)}
         nbits = 3 * q + 5
         for b1, a, d2 in [(1, 0, 1), (1, 0, -1), (3, 2, 5), (-7, 0, 18 * 49)]:
-            rows = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0 % q, nbits)
+            rows, _ = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0 % q, nbits)
             for e in range(q):
                 for j in range(nbits):
                     m = m0 + j
                     square = (b1 * e**4 + a * m * m * e * e + d2 * m**4) % q in squares
                     assert rows[e] >> j & 1 == (square and (e % l or m % l) != 0), (b1, a, d2, e, m)
+
+    @pytest.mark.parametrize("q", descent._SIEVE_MODULI)
+    @pytest.mark.parametrize("m0", [1, 4097])
+    def test_one_row_set_per_orbit(self, q, m0):
+        # scaling the value by a unit square u^2 keeps it a square mod q
+        # or not: the whole orbit has the rows, and the key, of (b1, a, d2)
+        units = [u for u in range(1, q) if gcd(u, q) == 1]
+        for b1, a, d2 in [(1, 0, 1), (1, 0, -1), (3, 2, 5), (-7, 0, 18 * 49), (q // 2, 0, 6), (0, 0, 1), (3, 0, 0)]:
+            rows = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0 % q, 40)
+            key = descent._orbit_key(q, b1, a, d2)
+            orbit = {(u * u * b1 % q, u * u * a % q, u * u * d2 % q) for u in units}
+            assert key in orbit
+            for u in units:
+                scaled = (u * u * b1, u * u * a, u * u * d2)
+                assert descent._sieve_rows(q, *(c % q for c in scaled), m0 % q, 40) == rows, (b1, a, d2, u)
+                assert descent._orbit_key(q, *scaled) == key, (b1, a, d2, u)
+
+    @pytest.mark.parametrize("q", descent._SIEVE_MODULI)
+    def test_live_mask_marks_the_non_empty_rows(self, q):
+        for nbits in (1, 2, q - 1, q, 2 * q + 3):
+            for m0 in (0, 1, q - 1):
+                for b1, a, d2 in [(1, 0, 1), (1, 0, -1), (3, 2, 5), (-7, 0, 18 * 49), (0, 0, 1)]:
+                    rows, live = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0, nbits)
+                    assert live < 1 << q
+                    for r in range(q):
+                        assert live >> r & 1 == (rows[r] != 0), (nbits, m0, b1, a, d2, r)
+
+    def test_cache_holds_one_row_set_per_orbit(self, monkeypatch):
+        # the scan of the primes <= 1000 at height 60 searches each class
+        # in one block (m0 = 1, 60 bits), so it needs one row set for each
+        # orbit of residues under the unit squares mod each q
+        searched = []
+        search = descent._search_class
+
+        def spy(curve, b1, height_bound):
+            searched.append((curve.a, b1, curve.b // b1))
+            return search(curve, b1, height_bound)
+
+        monkeypatch.setattr(descent, "_search_class", spy)
+        descent._sieve_rows.cache_clear()
+        for p in primes_up_to(1000):
+            rank_bounds(curve_for_prime(p), 60)
+        residues, orbits = set(), set()
+        for q in descent._SIEVE_MODULI:
+            squares = {u * u % q for u in range(1, q) if gcd(u, q) == 1}
+            for a, b1, d2 in searched:
+                residues.add((q, b1 % q, a % q, d2 % q))
+                orbits.add((q, frozenset((s * b1 % q, s * a % q, s * d2 % q) for s in squares)))
+        assert descent._sieve_rows.cache_info().currsize <= len(orbits) < len(residues)
 
     def test_memory_does_not_grow_with_the_height(self):
         # z = 4/11 lies on the class p of E_19249; at height 10^9 an
