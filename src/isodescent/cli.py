@@ -349,8 +349,8 @@ def _write_chunks(out, chunks: Iterable[str]) -> int:
         data = memoryview(chunk.encode())
         size += len(data)
         while data:
-            # an unbuffered stdout (python -u) is a raw FileIO, which may
-            # take only part of a write, or none (None) if non-blocking
+            # stdout's raw FileIO may take only part of a write, or none
+            # (None) if non-blocking
             written = out.write(data)
             if written is None:
                 import select
@@ -390,9 +390,9 @@ def write_records(
         raise ValueError(f"unknown format {output_format!r}")
     chunks = chunks(records, columns)
     if path is None:
-        size = _write_chunks(sys.stdout.buffer, chunks)
-        sys.stdout.buffer.flush()
-        return size
+        # past the buffer, which raises BlockingIOError on a full pipe
+        sys.stdout.flush()
+        return _write_chunks(getattr(sys.stdout.buffer, "raw", sys.stdout.buffer), chunks)
     if os.path.isdir(path) and not os.path.islink(path):
         # the rename onto it would fail only after every record is computed
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

@@ -1,13 +1,20 @@
 """Scan workers forked straight from the CLI process.
 
 cli imports this module only for a scan that runs in more than one
-process, so no other process loads it, pickle or signal.
+process, so no other process loads it or signal.  Records cross the pipes
+as marshal frames, so pickle is loaded only to carry a child's exception.
 """
 
+import marshal
 import os
-import pickle
 import signal
 from itertools import islice
+
+_HEADER = 5  # a kind byte, b"r" record or b"e" exception, then the body's length
+
+
+def _frame(kind: bytes, body: bytes) -> bytes:
+    return kind + len(body).to_bytes(_HEADER - 1, "little") + body
 
 
 def forked_map(fn, primes, jobs: int):
@@ -16,11 +23,16 @@ def forked_map(fn, primes, jobs: int):
     2 * jobs, ... itself.
 
     Each of the jobs - 1 forked children walks its own copy of the primes
-    and pickles its records, or the exception fn raised, into its own
-    pipe, one flush per record.  The records are read back in order, so a
-    full pipe stops its child.  A child that ends before its record raises
-    ChildProcessError here.  Every child is killed and reaped when the
-    records stop, for whatever reason.
+    and writes each record to its own pipe as one frame, one flush per
+    record: a kind byte, the body's length in 4 bytes, and
+    marshal.dumps(record).  So records must be plain data of the types
+    marshal carries (None, bool, int, float, str, and exact tuples, lists
+    and dicts of them); any other, such as a NamedTuple, raises ValueError
+    here.  An exception in a child is pickled into its last frame and
+    raised here; only that path loads pickle.  The records are read back
+    in order, so a full pipe stops its child.  A child that ends before
+    its whole frame raises ChildProcessError here.  Every child is killed
+    and reaped when the records stop, for whatever reason.
     """
     readers, pids = [], []
     try:
@@ -39,10 +51,12 @@ def forked_map(fn, primes, jobs: int):
                     with open(write_fd, "wb") as pipe:
                         try:
                             for p in islice(primes, k, None, jobs):
-                                pickle.dump(fn(p), pipe)
+                                pipe.write(_frame(b"r", marshal.dumps(fn(p))))
                                 pipe.flush()
                         except Exception as exc:
-                            pickle.dump(exc, pipe)
+                            import pickle
+
+                            pipe.write(_frame(b"e", pickle.dumps(exc)))
                 finally:
                     os._exit(0)
             pids.append(pid)
@@ -51,14 +65,20 @@ def forked_map(fn, primes, jobs: int):
             if i % jobs == 0:
                 yield fn(p)
                 continue
-            try:
-                record = pickle.load(readers[i % jobs - 1])
-            except EOFError:
+            # two reads: a pipe read through the buffer is far faster than
+            # marshal.load's small reads
+            reader = readers[i % jobs - 1]
+            header = reader.read(_HEADER)
+            size = int.from_bytes(header[1:], "little")
+            body = reader.read(size)
+            if len(header) < _HEADER or len(body) < size:
                 pid = pids[i % jobs - 1]
-                raise ChildProcessError(f"scan worker {pid} ended before its record for p = {p}") from None
-            if isinstance(record, Exception):
-                raise record
-            yield record
+                raise ChildProcessError(f"scan worker {pid} ended before its record for p = {p}")
+            if header[:1] == b"e":
+                import pickle
+
+                raise pickle.loads(body)
+            yield marshal.loads(body)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGTERM)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import marshal
 import mmap
 import os
 import signal
@@ -10,8 +11,9 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 
@@ -529,6 +531,78 @@ class TestWorkerFailure:
         assert_reaped(seen[1]["pid"])
 
 
+class TestFrames:
+    """What crosses a child's pipe: one marshal frame per record."""
+
+    PRIMES = TestWorkerFailure.PRIMES
+
+    def scan(self, monkeypatch, fn, error=None) -> tuple[list, pytest.ExceptionInfo]:
+        """The records _map_primes yields at J = 2, before it raises error
+        if one is given; each child it forked must be reaped by then."""
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
+        fork, forked = os.fork, []
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        seen = []
+        with deadline(30), pytest.raises(error) if error else nullcontext() as raised:
+            for record in _map_primes(fn, self.PRIMES, 2):
+                seen.append(record)
+        assert len(forked) == 1
+        assert_reaped(forked[0])
+        return seen, raised
+
+    def test_a_record_larger_than_a_pipe_arrives_whole(self, monkeypatch):
+        # 200 000 characters, some 400 000 bytes of UTF-8: the child blocks
+        # mid-frame until this process reads the rest
+        def fn(p):
+            return {**pid_record(p), "text": chr(0x100 + p) * 200_000}
+
+        seen, _ = self.scan(monkeypatch, fn)
+        assert [r["p"] for r in seen] == self.PRIMES
+        assert [r["text"] for r in seen] == [chr(0x100 + p) * 200_000 for p in self.PRIMES]
+        assert process_count(seen) == 2
+
+    def test_a_record_marshal_cannot_carry_raises_here(self, monkeypatch):
+        # records 0, 2, ... are this process's own and never marshalled
+        class Pair(NamedTuple):
+            p: int
+            pid: int
+
+        seen, raised = self.scan(monkeypatch, lambda p: Pair(p, os.getpid()), ValueError)
+        assert raised.type is ValueError
+        assert seen == [Pair(2, os.getpid())]
+
+    @pytest.mark.parametrize("cut", [3, -3], ids=["header", "body"])
+    def test_a_child_that_writes_half_a_frame_ends_the_scan(self, monkeypatch, cut):
+        from isodescent.workers import _frame
+
+        pipe, pipes = os.pipe, []
+
+        def recording_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+
+        def fn(p):
+            if p == 13:
+                os.write(pipes[0][1], _frame(b"r", marshal.dumps(pid_record(p)))[:cut])
+                os._exit(0)
+            return pid_record(p)
+
+        seen, raised = self.scan(monkeypatch, fn, ChildProcessError)
+        assert [r["p"] for r in seen] == [2, 3, 5, 7, 11]
+        assert str(raised.value) == f"scan worker {seen[1]['pid']} ended before its record for p = 13"
+
+
 class TestOnePath:
     def test_unknown_command_names_itself(self):
         with pytest.raises(ValueError, match="'bogus'"):
@@ -597,10 +671,11 @@ class TestImports:
         assert imported == ran == []
 
     def test_a_two_job_scan_loads_no_dataclasses_or_multiprocessing(self):
-        # the scan's workers are forked directly, with no multiprocessing.Pool
+        # the scan's workers are forked directly, with no multiprocessing.Pool,
+        # and send their records as marshal frames
         out, _, ran = self.loaded(
             ["scan", "--max", "60", "--height-bound", "20", "--jobs", "2", "--format", "csv"],
-            ("dataclasses", "multiprocessing"),
+            ("dataclasses", "multiprocessing", "pickle"),
         )
         assert len(parse_records_csv(out)) == 17
         assert ran == []
@@ -614,7 +689,7 @@ class TestImports:
     def test_a_csv_scan_loads_no_fractions_or_json(self):
         out, _, ran = self.loaded(
             ["scan", "--max", "60", "--height-bound", "20", "--jobs", "2", "--format", "csv"],
-            ("fractions", "decimal", "json"),
+            ("fractions", "decimal", "json", "pickle"),
         )
         assert len(parse_records_csv(out)) == 17
         assert ran == []
@@ -736,6 +811,29 @@ class TestNonBlockingOutput:
         assert size == len(received[0])
         # each wait ends with at least a page free: a few writes a chunk
         assert out.calls <= 10 * len(chunks), out.calls
+
+    def test_a_buffered_stdout_waits_for_a_late_reader(self):
+        # without python -u, stdout is a BufferedWriter, whose write raises
+        # BlockingIOError once a non-blocking pipe is full
+        argv = [sys.executable, "-m", "isodescent.cli", "scan", "--max", "30000", "--height-bound", "20", "--format", "csv"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        blocking = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+        assert blocking.returncode == 0, blocking.stderr
+        r, w = os.pipe()
+        os.set_blocking(w, False)
+        with open(r, "rb") as reader:
+            try:
+                proc = subprocess.Popen(argv, stdout=w, stderr=subprocess.PIPE, env=env)
+            finally:
+                os.close(w)
+            try:
+                time.sleep(1.5)
+                out = reader.read()
+                _, err = proc.communicate(timeout=300)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err) == (0, b"")
+        assert out == blocking.stdout
 
 
 class TestTerminatedOut:
