@@ -17,14 +17,13 @@ descent curve the engine cannot take among them), 3 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import io
 import os
 import sys
 import tempfile
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional
 
 from .arith import IS_PRIME_LIMIT, is_prime, iter_primes
 from .descent import CurveModel, RankBounds, bad_places, dual_curve, rank_bounds, selmer
@@ -72,85 +71,112 @@ def _int_arg(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        raise ValueError(f"{text!r} is not an integer") from None
 
 
 def _prime_arg(text: str) -> int:
     value = _int_arg(text)
     if value >= IS_PRIME_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"{value} is past the range of the primality test (p < {IS_PRIME_LIMIT})"
-        )
+        raise ValueError(f"{value} is past the range of the primality test (p < {IS_PRIME_LIMIT})")
     if value < 2 or not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{value} is not prime")
+        raise ValueError(f"{value} is not prime")
     return value
 
 
 def _positive_arg(text: str) -> int:
     value = _int_arg(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise ValueError(f"expected a positive integer, got {value}")
     return value
 
 
 def _max_arg(text: str) -> int:
     value = _positive_arg(text)
     if value >= IS_PRIME_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"{value} is past the range of the primality test (--max < {IS_PRIME_LIMIT})"
-        )
+        raise ValueError(f"{value} is past the range of the primality test (--max < {IS_PRIME_LIMIT})")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isodescent",
-        description="2-descent via 2-isogeny for y^2 = x^3 + 18p^2x",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format_arg(text: str) -> str:
+    if text not in _CHUNKS:
+        raise ValueError(f"invalid choice: {text!r} (choose from json, csv, text)")
+    return text
 
-    def add_common(sp, height=True):
-        sp.add_argument(
-            "--format", dest="output_format", choices=("json", "csv", "text"), default="text"
-        )
-        sp.add_argument("--out", dest="output_path", metavar="PATH", default=None)
-        if height:
-            sp.add_argument("--height-bound", type=_positive_arg, default=2000)
 
-    for command, summary in (
-        ("classify", "residue class, quartic character, rank ceiling"),
-        ("selmer", "closed-form and engine Selmer groups"),
-        ("rank", "rank bounds with proposition statements"),
-        ("repr", "fourth-power representations of 3p and p"),
-    ):
-        sp = sub.add_parser(command, help=summary)
-        sp.add_argument("--p", type=_prime_arg, required=True)
-        add_common(sp, height=command == "rank")
+# per command: its summary, its required options and its other options,
+# each option as flag -> (RunConfig field, converter raising ValueError)
+_P = {"p": ("p", _prime_arg)}
+_OUT = {"format": ("output_format", _format_arg), "out": ("output_path", str)}
+_HEIGHT = {**_OUT, "height-bound": ("height_bound", _positive_arg)}
+_COMMANDS = {
+    "classify": ("residue class, quartic character, rank ceiling", _P, _OUT),
+    "selmer": ("closed-form and engine Selmer groups", _P, _OUT),
+    "rank": ("rank bounds with proposition statements", _P, _HEIGHT),
+    "repr": ("fourth-power representations of 3p and p", _P, _OUT),
+    "scan": ("full report for every prime up to --max", {"max": ("range_max", _max_arg)},
+             {"jobs": ("parallelism", _positive_arg), **_HEIGHT}),
+    "descent": ("rank bounds for an arbitrary curve (a, b)", {"a": ("a", _int_arg), "b": ("b", _int_arg)}, _HEIGHT),
+}
 
-    sp = sub.add_parser("scan", help="full report for every prime up to --max")
-    sp.add_argument("--max", dest="range_max", type=_max_arg, required=True)
-    sp.add_argument(
-        "--jobs", dest="parallelism", metavar="JOBS", type=_positive_arg,
-        default=_usable_cpus(),
-    )
-    add_common(sp)
 
-    sp = sub.add_parser("descent", help="rank bounds for an arbitrary curve (a, b)")
-    sp.add_argument("--a", type=_int_arg, required=True)
-    sp.add_argument("--b", type=_int_arg, required=True)
-    add_common(sp)
-    return parser
+def _exit(command: Optional[str], error: Optional[str] = None) -> NoReturn:
+    """Exit 2 with the usage line and error on stderr, or with no error
+    exit 0 with the help on stdout."""
+    if command:
+        text, required, optional = _COMMANDS[command]
+        meta = {"format": "{json,csv,text}", "out": "PATH", "height-bound": "N"}
+        flags = [f"--{name} {meta.get(name, name.upper())}" for name in {**required, **optional}]
+        usage = " ".join([command, "[-h]", *flags[: len(required)], *(f"[{f}]" for f in flags[len(required) :])])
+    else:
+        usage = "[-h] {" + ",".join(_COMMANDS) + "} ..."
+        rows = "".join(f"\n  {name:<9} {entry[0]}" for name, entry in _COMMANDS.items())
+        text = f"2-descent via 2-isogeny for y^2 = x^3 + 18p^2x\n\ncommands:{rows}"
+    if error:
+        sys.stderr.write(f"usage: isodescent {usage}\nisodescent: error: {error}\n")
+        sys.exit(2)
+    print(f"usage: isodescent {usage}\n\n{text}")
+    sys.exit(0)
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command == "descent":
+    """argv as a command and its options: --flag value, --flag=value or a
+    unique prefix of the flag, the last of a repeated flag winning."""
+    import getopt
+
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _exit(None)
+    if command not in _COMMANDS:
+        _exit(None, f"unknown command {command!r}" if command else "a command is required")
+    _, required, optional = _COMMANDS[command]
+    options = {**required, **optional}
+    try:
+        pairs, stray = getopt.getopt(argv[1:], "h", ["help", *(name + "=" for name in options)])
+    except getopt.GetoptError as exc:
+        _exit(command, exc.msg)
+    values = {}
+    for flag, text in pairs:
+        if flag in ("-h", "--help"):
+            _exit(command)
+        field, convert = options[flag[2:]]
         try:
-            bad_places(CurveModel(ns.a, ns.b))
+            values[field] = convert(text)
         except ValueError as exc:
-            parser.error(f"cannot run descent on (a, b) = ({ns.a}, {ns.b}): {exc}")
-    return RunConfig(**vars(ns))
+            _exit(command, f"argument {flag}: {exc}")
+    if stray:
+        _exit(command, f"unrecognized arguments: {' '.join(stray)}")
+    missing = [name for name in required if required[name][0] not in values]
+    if missing:
+        _exit(command, f"the following arguments are required: --{', --'.join(missing)}")
+    if command == "scan" and "parallelism" not in values:
+        values["parallelism"] = _usable_cpus()
+    config = RunConfig(command, **values)
+    if command == "descent":
+        try:
+            bad_places(CurveModel(config.a, config.b))
+        except ValueError as exc:
+            _exit(command, f"cannot run descent on (a, b) = ({config.a}, {config.b}): {exc}")
+    return config
 
 
 # ---------------------------------------------------------------------------

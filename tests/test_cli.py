@@ -81,6 +81,22 @@ class TestParseArgs:
         # parsed only: a scan this large would never end
         assert parse_args(["scan", "--max", str(IS_PRIME_LIMIT - 1)]).range_max == IS_PRIME_LIMIT - 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--height-bound=60"], ["--height", "60"]], ids=["equals-form", "unique-prefix"]
+    )
+    def test_flag_forms(self, flags):
+        assert parse_args(["rank", "--p", "7", *flags]).height_bound == 60
+
+    def test_repeated_flag_last_wins(self):
+        assert parse_args(["rank", "--p", "11", "--format", "csv", "--p", "7"]).p == 7
+
+    def test_negative_value(self):
+        config = parse_args(["descent", "--a", "-3", "--b", "5"])
+        assert (config.a, config.b) == (-3, 5)
+
+    def test_jobs_defaults_to_one_outside_scan(self):
+        assert parse_args(["rank", "--p", "7"]).parallelism == 1
+
 
 class TestExecute:
     def test_rank_seven(self):
@@ -248,6 +264,40 @@ class TestMainExitCodes:
         assert exc.value.code == 2
         err = capsys.readouterr().err.encode()
         assert message in err and b"_arg" not in err, err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rank", "--p", "7", "--format", "xml"],
+            ["rank", "--format", "json"],
+            ["rank", "--p", "7", "extra"],
+            ["rank", "--p", "7", "--bogus"],
+            ["rnak", "--p", "7"],
+            [],
+        ],
+        ids=["format", "missing-p", "stray-positional", "unknown-flag", "unknown-command", "no-command"],
+    )
+    def test_usage_error_is_one_line(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 2, err
+        assert err[0].startswith("usage: isodescent") and err[1].startswith("isodescent: error: "), err
+
+    @pytest.mark.parametrize("args", [["--help"], ["-h"], ["rank", "--help"], ["scan", "--max", "7", "-h"]])
+    def test_help(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(args)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: isodescent") and captured.err == ""
+        if args[0] == "rank":
+            assert "--p P" in captured.out and "--height-bound" in captured.out
+        elif len(args) == 1:
+            commands = ("classify", "selmer", "rank", "repr", "scan", "descent")
+            assert all(f"\n  {name} " in captured.out for name in commands), captured.out
 
     @pytest.mark.parametrize(
         "a,b",
@@ -672,17 +722,20 @@ class TestImports:
 
     def test_a_two_job_scan_loads_no_dataclasses_or_multiprocessing(self):
         # the scan's workers are forked directly, with no multiprocessing.Pool,
-        # and send their records as marshal frames
+        # and send their records as marshal frames; the parser is getopt
         out, _, ran = self.loaded(
             ["scan", "--max", "60", "--height-bound", "20", "--jobs", "2", "--format", "csv"],
-            ("dataclasses", "multiprocessing", "pickle"),
+            ("dataclasses", "multiprocessing", "pickle", "argparse", "locale"),
         )
         assert len(parse_records_csv(out)) == 17
         assert ran == []
 
     def test_a_json_rank_loads_no_fractions_or_csv(self):
-        # no rank record builds a Fraction, and csv serves only --format csv
-        out, _, ran = self.loaded(["rank", "--p", "7", "--format", "json"], ("fractions", "decimal", "csv"))
+        # no rank record builds a Fraction, csv serves only --format csv,
+        # and getopt parses the command line without argparse or locale
+        out, _, ran = self.loaded(
+            ["rank", "--p", "7", "--format", "json"], ("fractions", "decimal", "csv", "argparse", "locale")
+        )
         assert json.loads(out)[0]["p"] == 7
         assert ran == []
 

@@ -1,5 +1,8 @@
 """The record types: immutable named tuples, validated where they were
-validated before, and picklable (a scan pool sends work between processes)."""
+validated before, and picklable.  test_pickle_round_trip guards the
+library records' own pickling for callers that send them between
+processes; no CLI path uses it, since scan workers send their CLI record
+dicts as marshal frames."""
 
 import pickle
 from fractions import Fraction
