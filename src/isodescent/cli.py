@@ -265,8 +265,8 @@ def _usable_cpus() -> int:
 
 def _map_primes(fn, primes: Iterable[int], jobs: int) -> Iterator[dict]:
     """fn over primes, lazily and in order, in J = min(jobs, usable CPUs,
-    primes) processes: this one and J - 1 children that workers.forked_map
-    forks.  Without os.fork, a plain map in this process."""
+    primes) children of workers.forked_map; for J = 1 or without os.fork,
+    in this process."""
     from itertools import chain, islice
 
     primes = iter(primes)
@@ -405,11 +405,11 @@ def write_records(
     write in all), to path or else stdout; returns the bytes written.
 
     A path gets write-then-rename, so a failure leaves no partial file,
-    and a path that names a directory raises IsADirectoryError before the
-    first record is pulled; the file gets mode 0o666 less the umask, as a
-    newly created file would.  A SIGTERM meanwhile removes the temp file,
-    then ends the process by that signal.  columns supplies the header
-    when there are no records.
+    and a path that names a directory ('' is the working one) raises
+    IsADirectoryError before the first record is pulled; the file gets
+    mode 0o666 less the umask, as a newly created file would.  A SIGTERM
+    meanwhile removes the temp file, then ends the process by that
+    signal.  columns supplies the header when there are no records.
     """
     chunks = _CHUNKS.get(output_format)
     if chunks is None:
@@ -419,7 +419,7 @@ def write_records(
         # past the buffer, which raises BlockingIOError on a full pipe
         sys.stdout.flush()
         return _write_chunks(getattr(sys.stdout.buffer, "raw", sys.stdout.buffer), chunks)
-    if os.path.isdir(path) and not os.path.islink(path):
+    if not path or os.path.isdir(path) and not os.path.islink(path):
         # the rename onto it would fail only after every record is computed
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     import signal

@@ -189,15 +189,6 @@ def divisor_classes(b: int) -> list[int]:
     return sorted(d * s for d in divisors for s in (1, -1))
 
 
-def _subset_products(gens: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """(product, XOR of class vectors) over the subsets of gens, a list of
-    (generator, class vector); the subset of entry i is the bits of i."""
-    out = [(1, 0)]
-    for g, v in gens:
-        out += [(p * g, w ^ v) for p, w in out]
-    return out
-
-
 # each record asks for its curves' groups only while it is built
 @lru_cache(maxsize=64)
 def selmer(E: CurveModel) -> SelmerGroup:
@@ -206,27 +197,29 @@ def selmer(E: CurveModel) -> SelmerGroup:
     This is S[psibar] of E; S[psi] of E is selmer(dual_curve(E)).  The
     candidates b1 are the products of the subsets of -1 and the primes of
     b, and their classes in Q_v*/Q_v*^2 at the bad places are vectors
-    over F_2, so each b1 and its class vector cost one multiplication and
-    one XOR of the products of two halves of the generators.  The verdict
-    of a place depends only on the class of b1 there (see local), so each
-    place decides each of its at most 8 classes once, for the first
-    candidate that has it.  The result is checked to contain 1 and the
-    class of b, and to be a subgroup: the accepted subsets number
-    2^(rank of their span).
+    over F_2.  The subsets are walked in Gray-code order, so each b1 and
+    its class vector cost one multiplication or exact division by one
+    generator and one XOR.  The verdict of a place depends only on the
+    class of b1 there (see local), so each place decides each of its at
+    most 8 classes once, for the first candidate that has it.  The result
+    is checked to contain 1 and the class of b, and to be a subgroup: the
+    accepted subsets number 2^(rank of their span).
     """
     a, b = E
     verdicts = _GroupVerdicts(bad_places(E), a, b)
     gens = [(g, verdicts.class_vector(g)) for g in [-1] + [p for p, _ in _factorization(abs(b))]]
-    # two halves, so that the lists grow like 2^(omega/2); the subset of a
-    # candidate is the index bits of its two factors
-    k = len(gens) // 2
-    low, high = _subset_products(gens[:k]), _subset_products(gens[k:])
-    accepted = {}
-    for i, (b_high, v_high) in enumerate(high):
-        for j, (b_low, v_low) in enumerate(low):
-            b1 = b_high * b_low
-            if solvable_everywhere_locally(QuarticForm(b1, a, b // b1), verdicts, v_high ^ v_low):
-                accepted[i << k | j] = b1
+    # step i of the Gray code flips bit t of the subset: b1 gains or loses
+    # generator t, and its class vector XORs in that generator's
+    b1, v, accepted = 1, 0, {}
+    for i in range(1 << len(gens)):
+        subset = i ^ (i >> 1)
+        if i:
+            t = (i & -i).bit_length() - 1
+            g, w = gens[t]
+            b1 = b1 * g if subset >> t & 1 else b1 // g
+            v ^= w
+        if solvable_everywhere_locally(QuarticForm(b1, a, b // b1), verdicts, v):
+            accepted[subset] = b1
     classes = frozenset(accepted.values())
     torsion_class = squarefree_class(b)
     if 1 not in classes or torsion_class not in classes:

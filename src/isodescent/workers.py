@@ -18,25 +18,25 @@ def _frame(kind: bytes, body: bytes) -> bytes:
 
 
 def forked_map(fn, primes, jobs: int):
-    """fn over primes, lazily and in order, in jobs processes: record i
-    comes from process i mod jobs, and this one computes records 0, jobs,
-    2 * jobs, ... itself.
+    """fn over primes, lazily and in order, in jobs forked children:
+    record i comes from child i mod jobs, and this process only reads the
+    records back in order and yields them, never calling fn.
 
-    Each of the jobs - 1 forked children walks its own copy of the primes
-    and writes each record to its own pipe as one frame, one flush per
-    record: a kind byte, the body's length in 4 bytes, and
-    marshal.dumps(record).  So records must be plain data of the types
-    marshal carries (None, bool, int, float, str, and exact tuples, lists
-    and dicts of them); any other, such as a NamedTuple, raises ValueError
-    here.  An exception in a child is pickled into its last frame and
-    raised here; only that path loads pickle.  The records are read back
-    in order, so a full pipe stops its child.  A child that ends before
-    its whole frame raises ChildProcessError here.  Every child is killed
-    and reaped when the records stop, for whatever reason.
+    Each child walks its own copy of the primes and writes each of its
+    records to its own pipe as one frame, one flush per record: a kind
+    byte, the body's length in 4 bytes, and marshal.dumps(record).  So
+    records must be plain data of the types marshal carries (None, bool,
+    int, float, str, and exact tuples, lists and dicts of them); any
+    other, such as a NamedTuple, raises ValueError here.  An exception in
+    a child is pickled into its last frame and raised here; only that path
+    loads pickle.  The records are read back in order, so a full pipe
+    stops its child.  A child that ends before its whole frame raises
+    ChildProcessError here.  Every child is killed and reaped when the
+    records stop, for whatever reason.
     """
     readers, pids = [], []
     try:
-        for k in range(1, jobs):
+        for k in range(jobs):
             fd, write_fd = os.pipe()
             readers.append(open(fd, "rb"))
             pid = os.fork()
@@ -62,18 +62,14 @@ def forked_map(fn, primes, jobs: int):
             pids.append(pid)
             os.close(write_fd)
         for i, p in enumerate(primes):
-            if i % jobs == 0:
-                yield fn(p)
-                continue
             # two reads: a pipe read through the buffer is far faster than
             # marshal.load's small reads
-            reader = readers[i % jobs - 1]
+            reader = readers[i % jobs]
             header = reader.read(_HEADER)
             size = int.from_bytes(header[1:], "little")
             body = reader.read(size)
             if len(header) < _HEADER or len(body) < size:
-                pid = pids[i % jobs - 1]
-                raise ChildProcessError(f"scan worker {pid} ended before its record for p = {p}")
+                raise ChildProcessError(f"scan worker {pids[i % jobs]} ended before its record for p = {p}")
             if header[:1] == b"e":
                 import pickle
 

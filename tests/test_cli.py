@@ -240,6 +240,22 @@ class TestMainExitCodes:
         assert [f.name for f in tmp_path.iterdir()] == ["outdir"]
         assert list((tmp_path / "outdir").iterdir()) == []
 
+    def test_empty_out_is_refused_before_any_record(self, monkeypatch, tmp_path, capsys):
+        # '' names the working directory: refused before the first record
+        # is computed and before a temp file exists
+        import isodescent.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "verify_prime", lambda *args: calls.append(args))
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert main(["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1", "--out", ""]) == 3
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output:"), err
+        assert [f.name for f in tmp_path.iterdir()] == ["work"]
+        assert list((tmp_path / "work").iterdir()) == []
+
     def test_usage_error_subprocess(self):
         proc = run_cli(["rank", "--p", "15"])
         assert proc.returncode == 2
@@ -363,11 +379,11 @@ def pid_record(p, height_bound=None, columns=None) -> dict:
 
 
 def process_count(records) -> int:
-    """J, the processes the records came from: record i must come from
-    process i mod J, and record 0 from this one."""
+    """J, the processes the records came from: this one alone, or J forked
+    workers, none of them this one, with record i from worker i mod J."""
     pids = [r["pid"] for r in records]
     jobs = len(set(pids))
-    assert pids[:1] == [os.getpid()]
+    assert set(pids) == {os.getpid()} or os.getpid() not in pids
     assert pids == [pids[i % jobs] for i in range(len(pids))]
     return jobs
 
@@ -398,7 +414,7 @@ def assert_reaped(pid: int) -> None:
 
 
 class TestPoolClamp:
-    """The pool: this process and the children it forks for a scan."""
+    """The pool: the children this process forks for a scan."""
 
     @pytest.mark.parametrize(
         "cpus,range_max,expected",
@@ -527,6 +543,23 @@ class TestPoolClamp:
             records.close()
             taken.close()
 
+    def test_a_two_job_scan_builds_no_record_here(self, monkeypatch):
+        # calls made in the workers land in their own copies of calls
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
+        calls = []
+
+        def row(p, height_bound=None, columns=None):
+            calls.append(p)
+            return pid_record(p)
+
+        monkeypatch.setattr(cli_mod, "_report_record", row)
+        records = list(execute(RunConfig(command="scan", range_max=30, parallelism=2)))
+        assert [r["p"] for r in records] == primes_up_to(30)
+        assert calls == []
+        assert process_count(records) == 2
+
     def test_rank_runs_in_process(self, monkeypatch):
         import isodescent.cli as cli_mod
 
@@ -538,7 +571,7 @@ class TestPoolClamp:
 
 
 class TestWorkerFailure:
-    # at J = 2, 13 is record 5, a child's
+    # at J = 2, 13 is record 5, worker 1's
     PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
     def scan(self, monkeypatch, fn, error) -> tuple[list, pytest.ExceptionInfo]:
@@ -588,7 +621,7 @@ class TestFrames:
 
     def scan(self, monkeypatch, fn, error=None) -> tuple[list, pytest.ExceptionInfo]:
         """The records _map_primes yields at J = 2, before it raises error
-        if one is given; each child it forked must be reaped by then."""
+        if one is given; both children it forked must be reaped by then."""
         import isodescent.cli as cli_mod
 
         monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
@@ -605,8 +638,9 @@ class TestFrames:
         with deadline(30), pytest.raises(error) if error else nullcontext() as raised:
             for record in _map_primes(fn, self.PRIMES, 2):
                 seen.append(record)
-        assert len(forked) == 1
-        assert_reaped(forked[0])
+        assert len(forked) == 2
+        for pid in forked:
+            assert_reaped(pid)
         return seen, raised
 
     def test_a_record_larger_than_a_pipe_arrives_whole(self, monkeypatch):
@@ -621,14 +655,14 @@ class TestFrames:
         assert process_count(seen) == 2
 
     def test_a_record_marshal_cannot_carry_raises_here(self, monkeypatch):
-        # records 0, 2, ... are this process's own and never marshalled
+        # every record crosses a pipe, so the scan fails at record 0
         class Pair(NamedTuple):
             p: int
             pid: int
 
         seen, raised = self.scan(monkeypatch, lambda p: Pair(p, os.getpid()), ValueError)
         assert raised.type is ValueError
-        assert seen == [Pair(2, os.getpid())]
+        assert seen == []
 
     @pytest.mark.parametrize("cut", [3, -3], ids=["header", "body"])
     def test_a_child_that_writes_half_a_frame_ends_the_scan(self, monkeypatch, cut):
@@ -643,8 +677,8 @@ class TestFrames:
         monkeypatch.setattr(os, "pipe", recording_pipe)
 
         def fn(p):
-            if p == 13:
-                os.write(pipes[0][1], _frame(b"r", marshal.dumps(pid_record(p)))[:cut])
+            if p == 13:  # record 5, on the pipe of worker 5 mod 2
+                os.write(pipes[1][1], _frame(b"r", marshal.dumps(pid_record(p)))[:cut])
                 os._exit(0)
             return pid_record(p)
 
