@@ -116,11 +116,6 @@ def primes_up_to(limit: int) -> list[int]:
     return list(iter_primes(limit))
 
 
-@lru_cache(maxsize=8)
-def _sieve(limit: int) -> tuple[int, ...]:
-    return tuple(primes_up_to(limit))
-
-
 def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0 for k in (1, 2, 3, 4), in exact
     integer arithmetic (no float, so no overflow and no long walk)."""
@@ -149,33 +144,27 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _trial_primes() -> Iterator[int]:
-    """The primes up to 10^6, ascending; the sieve is built only once the
-    small primes are used up."""
-    yield from _SMALL_PRIMES
-    yield from itertools.islice(_sieve(1_000_000), len(_SMALL_PRIMES), None)
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Desk-scale only: trial division by primes up to 10^6, then the remainder
-    must be a prime power p^e, e <= 4 (all that descent coefficients like
-    2*b*bbar ever produce).  Anything else is rejected.  Trial division
-    stops as soon as the cofactor is such a prime power.
+    Desk-scale only: trial division by 2 and the odd numbers up to 10^6
+    (an odd composite never divides: its primes are divided out first),
+    then the remainder must be a prime power p^e, e <= 4 (all that descent
+    coefficients like 2*b*bbar ever produce).  Anything else is rejected.
+    Trial division stops as soon as the cofactor is such a prime power.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
     power = _prime_power(n)
-    for p in _trial_primes():
-        if power is not None or p * p > n:
+    for d in itertools.chain((2,), range(3, 1_000_001, 2)):
+        if power is not None or d * d > n:
             break
-        if n % p == 0:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
             power = _prime_power(n)
     # every cofactor was tested as it arose, so what is left is final
     if power is not None:

@@ -474,7 +474,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # is known only once the last one is out
         write_records(records, config.output_format, config.output_path, _SCHEMAS.get(config.command))
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # a scan worker that died or could not be forked is no output error
+        what = "" if isinstance(exc, ChildProcessError) else "cannot write output: "
+        print(f"error: {what}{exc}", file=sys.stderr)
         return 3
     return 1 if inconsistent else 0
 

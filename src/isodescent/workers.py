@@ -30,16 +30,20 @@ def forked_map(fn, primes, jobs: int):
     other, such as a NamedTuple, raises ValueError here.  An exception in
     a child is pickled into its last frame and raised here; only that path
     loads pickle.  The records are read back in order, so a full pipe
-    stops its child.  A child that ends before its whole frame raises
-    ChildProcessError here.  Every child is killed and reaped when the
-    records stop, for whatever reason.
+    stops its child.  A child that ends before its whole frame, or a fork
+    that fails, raises ChildProcessError here.  Every child is killed and
+    reaped when the records stop, for whatever reason.
     """
     readers, pids = [], []
     try:
         for k in range(jobs):
             fd, write_fd = os.pipe()
             readers.append(open(fd, "rb"))
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(write_fd)
+                raise ChildProcessError(f"cannot fork scan worker {k + 1} of {jobs}: {exc}") from exc
             if pid == 0:
                 # leave by os._exit alone, so that the inherited stdout and
                 # --out buffers are never flushed and no cleanup of the

@@ -1,7 +1,9 @@
 import collections
+import inspect
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -194,12 +196,42 @@ def _next_prime(n):
     return n
 
 
+def trial_divisors(n):
+    """factorize(n) and the divisors it tries: on each line of its source
+    that takes n modulo a name, the value of that name as the line starts."""
+    lines, first = inspect.getsourcelines(factorize)
+    divisor_at = {}
+    for i, text in enumerate(lines):
+        match = re.search(r"\bn % (\w+)", text)
+        if match:
+            divisor_at[first + i] = match[1]
+    assert divisor_at, "factorize takes n modulo nothing"
+    tried = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not factorize.__code__:
+            return None
+        if event == "line" and frame.f_lineno in divisor_at:
+            tried.append(frame.f_locals[divisor_at[frame.f_lineno]])
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = factorize(n)
+    finally:
+        sys.settrace(previous)
+    return result, tried
+
+
 class TestFactorizeStopsEarly:
     def test_prime_square_cofactor_builds_no_sieve(self):
-        arith._sieve.cache_clear()
+        # once 2 and 3 are divided out the cofactor p^2 is a prime power,
+        # so no trial divisor past 3 is tried
         p = 1043113
-        assert factorize(18 * p * p) == {2: 1, 3: 2, p: 2}
-        assert arith._sieve.cache_info().currsize == 0
+        result, tried = trial_divisors(18 * p * p)
+        assert result == {2: 1, 3: 2, p: 2}
+        assert set(tried) == {2, 3}, sorted(set(tried))[:10]
 
     @given(
         small=st.lists(st.sampled_from(primes_up_to(100)), max_size=6),
@@ -212,14 +244,17 @@ class TestFactorizeStopsEarly:
     @example(small=[2, 2, 2, 3, 3], r=999983, k=5, sign=-1)  # trial division finds it
     @example(small=[97, 97], r=2, k=5, sign=1)
     @example(small=[], r=7, k=1, sign=1)
+    @example(small=[999979], r=999983, k=1, sign=1)  # the two largest primes below 10^6
+    @example(small=[1000003], r=1000033, k=1, sign=1)  # two primes past 10^6: rejected
     @settings(max_examples=200, deadline=None)
     def test_same_as_full_trial_division(self, small, r, k, sign):
         n = sign * math.prod(small) * r**k
         try:
             want = full_trial_division(n)
         except ValueError as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
+            with pytest.raises(ValueError) as raised:
                 factorize(n)
+            assert str(raised.value) == str(exc)
         else:
             assert factorize(n) == want
 

@@ -1,9 +1,11 @@
 import csv
+import errno
 import io
 import json
 import marshal
 import mmap
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -106,6 +108,13 @@ class TestExecute:
         assert rec["theorem_bound"] == "exact 0"
         assert rec["consistent"] is True
 
+    def test_rank_without_a_proposition(self, capsys):
+        # p = 1 mod 24 with a 3p witness and no p = a^4 + 18b^4
+        assert main(["rank", "--p", "6481", "--format", "json"]) == 0
+        (rec,) = json.loads(capsys.readouterr().out)
+        assert rec["proposition"] == ""
+        assert rec["consistent"] is True
+
     def test_rank_record_schema(self):
         records = list(execute(RunConfig(command="rank", p=7, height_bound=5)))
         keys = set(records[0])
@@ -190,6 +199,24 @@ class TestEmit:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".isodescent-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_a_failed_record_leaves_no_file(self, tmp_path, fmt):
+        # the record fails while the temp file exists: neither a partial
+        # target nor the temp file is left
+        target = tmp_path / "out"
+
+        def records():
+            yield {"p": 2}
+            assert [f.name[:12] for f in tmp_path.iterdir()] == [".isodescent-"]
+            raise RuntimeError("no record for 3")
+
+        with pytest.raises(RuntimeError, match="no record for 3"):
+            write_records(records(), fmt, path=str(target))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_text_without_columns(self, capsysbinary):
+        assert emitted([], "text", capsysbinary) == b"(no records)\n"
+
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
     def test_file_mode_follows_umask(self, tmp_path, umask, mode):
         target = tmp_path / "out.json"
@@ -255,6 +282,36 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("error: cannot write output:"), err
         assert [f.name for f in tmp_path.iterdir()] == ["work"]
         assert list((tmp_path / "work").iterdir()) == []
+
+    def test_a_dead_scan_worker_is_not_an_output_error(self, monkeypatch, capsys):
+        import isodescent.cli as cli_mod
+
+        def row(p, height_bound=None, columns=None):
+            if p == 13:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pid_record(p)
+
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
+        monkeypatch.setattr(cli_mod, "_report_record", row)
+        with deadline(30):
+            code = main(["scan", "--max", "30", "--jobs", "2", "--format", "csv"])
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"error: scan worker \d+ ended before its record for p = 13", line), line
+
+    def test_a_failed_fork_is_not_an_output_error(self, monkeypatch, capsys):
+        import isodescent.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 2, raising=False)
+        monkeypatch.setattr(cli_mod, "_report_record", pid_record)
+        forked = failing_fork(monkeypatch, 2)
+        with deadline(30):
+            code = main(["scan", "--max", "30", "--jobs", "2", "--format", "csv"])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot fork scan worker 2 of 2: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"]
+        assert len(forked) == 1
+        assert_reaped(forked[0])
 
     def test_usage_error_subprocess(self):
         proc = run_cli(["rank", "--p", "15"])
@@ -406,6 +463,23 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def failing_fork(monkeypatch, n: int) -> list[int]:
+    """Make fork number n fail with EAGAIN, as at a process limit; returns
+    the list that the pids of the forks before it are added to."""
+    fork, forked = os.fork, []
+
+    def fork_until_n():
+        if len(forked) == n - 1:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_until_n)
+    return forked
 
 
 def assert_reaped(pid: int) -> None:
@@ -612,6 +686,24 @@ class TestWorkerFailure:
         assert [r["p"] for r in seen] == [2, 3, 5, 7, 11]
         assert seen[1]["pid"] != os.getpid()
         assert_reaped(seen[1]["pid"])
+
+    def test_a_failed_fork_leaves_no_pipe_open(self, monkeypatch):
+        pipe, pipes = os.pipe, []
+
+        def recording_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        forked = failing_fork(monkeypatch, 2)
+        seen, raised = self.scan(monkeypatch, pid_record, ChildProcessError)
+        assert seen == []
+        assert isinstance(raised.value.__cause__, BlockingIOError)
+        assert len(pipes) == 2 and len(forked) == 1
+        assert_reaped(forked[0])
+        for fd in (fd for pair in pipes for fd in pair):
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
 
 class TestFrames:

@@ -200,6 +200,15 @@ class TestPropositionRank:
         assert proposition_rank(17) is None  # (2/17)_4 = -1
         assert proposition_rank(73) is None  # no representation of 3*73
 
+    def test_absent_without_a_representation_of_p(self):
+        # 6481 = 1 mod 24, (2/6481)_4 = 1 and 3*6481 = 11^4 + 2*7^4, but
+        # 6481 = a^4 + 18b^4 has no solution: the smallest such prime
+        p = 6481
+        assert classify(p) == (p, 1, 1)  # (p, p mod 24, (2/p)_4)
+        assert find_repr(3 * p, 2) == ReprWitness(KIND_3P, 11, 7)
+        assert find_repr(p, 18) is None
+        assert proposition_rank(p) is None
+
 
 class TestVerifyPrime:
     def test_seven(self):
