@@ -476,7 +476,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         # a scan worker that died or could not be forked is no output error
         what = "" if isinstance(exc, ChildProcessError) else "cannot write output: "
-        print(f"error: {what}{exc}", file=sys.stderr)
+        try:
+            print(f"error: {what}{exc}", file=sys.stderr)
+        except OSError:
+            pass  # stderr may be the same closed pipe
         return 3
     return 1 if inconsistent else 0
 

@@ -29,11 +29,21 @@ def forked_map(fn, primes, jobs: int):
     int, float, str, and exact tuples, lists and dicts of them); any
     other, such as a NamedTuple, raises ValueError here.  An exception in
     a child is pickled into its last frame and raised here; only that path
-    loads pickle.  The records are read back in order, so a full pipe
-    stops its child.  A child that ends before its whole frame, or a fork
-    that fails, raises ChildProcessError here.  Every child is killed and
-    reaped when the records stop, for whatever reason.
+    loads pickle.  When jobs equals the CPUs of this process's affinity
+    mask, child k is bound to the k-th of them and this process keeps the
+    mask; with fewer or more jobs, without an affinity API, or where
+    binding fails, the children run unbound.  The records are read back in
+    order, so a full pipe stops its child.  A child that ends before its
+    whole frame, or a fork that fails, raises ChildProcessError here.
+    Every child is killed and reaped when the records stop, for whatever
+    reason.
     """
+    # left to the scheduler, the two children on a two-CPU mask were seen
+    # sharing one CPU; a mask with CPUs to spare was not measured
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = []
     readers, pids = [], []
     try:
         for k in range(jobs):
@@ -50,6 +60,11 @@ def forked_map(fn, primes, jobs: int):
                 # parent runs
                 try:
                     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                    if len(cpus) == jobs:
+                        try:
+                            os.sched_setaffinity(0, {cpus[k]})
+                        except OSError:
+                            pass
                     for reader in readers:
                         os.close(reader.fileno())
                     with open(write_fd, "wb") as pipe:

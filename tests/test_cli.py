@@ -31,6 +31,7 @@ from isodescent.cli import (
     parse_args,
     write_records,
 )
+from isodescent.workers import forked_map
 from records_csv import parse_records_csv
 
 
@@ -644,6 +645,47 @@ class TestPoolClamp:
         assert records == [{"p": 7, "pid": os.getpid()}]
 
 
+def mask(p=None) -> list[int]:
+    return sorted(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+class TestCpuBinding:
+    """With one child per CPU of this process's mask, child k is bound to
+    the k-th CPU; with any other count the children are left unbound.
+    This process keeps its own mask."""
+
+    @pytest.fixture
+    def cpus(self):
+        cpus = mask()
+        if len(cpus) < 2:
+            pytest.skip("fewer than 2 usable CPUs")
+        return cpus
+
+    def test_child_k_runs_on_the_kth_cpu(self, cpus):
+        jobs = len(cpus)
+        records = list(forked_map(mask, range(4 * jobs), jobs))
+        assert records == [[cpus[i % jobs]] for i in range(4 * jobs)]
+
+    @pytest.mark.parametrize("spare", [-1, 1], ids=["fewer", "more"])
+    def test_other_job_counts_run_unbound(self, cpus, spare):
+        jobs = len(cpus) + spare
+        assert list(forked_map(mask, range(2 * jobs), jobs)) == [cpus] * (2 * jobs)
+
+    def test_this_process_keeps_its_mask(self, cpus):
+        assert len(list(forked_map(mask, range(8), len(cpus)))) == 8
+        assert mask() == cpus
+
+    def test_a_child_that_cannot_be_bound_runs_unbound(self, monkeypatch, cpus):
+        def refuse(pid, cpus):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert list(forked_map(mask, range(4), len(cpus))) == [cpus] * 4
+        scan = [RunConfig(command="scan", range_max=300, height_bound=20, parallelism=j) for j in (1, len(cpus))]
+        assert list(execute(scan[1])) == list(execute(scan[0]))
+
+
 class TestWorkerFailure:
     # at J = 2, 13 is record 5, worker 1's
     PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
@@ -1059,3 +1101,18 @@ class TestClosedPipe:
         assert proc.returncode == 3
         lines = err.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write output"), err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reader_closes_the_pipe_stderr_shares(self, jobs):
+        # as `2>&1 | head -c 16`: the error line cannot be written either,
+        # and the exit code must still be 3, not 1 (an inconsistent record)
+        argv = ["scan", "--max", "20000", "--height-bound", "20", "--format", "csv", "--jobs", str(jobs)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "isodescent.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.STDOUT
+        )
+        try:
+            assert proc.stdout.read(16) == b"spec_version,p,m"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 3
+        finally:
+            proc.kill()
