@@ -21,7 +21,6 @@ import errno
 import io
 import os
 import sys
-import tempfile
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional
 
@@ -405,11 +404,12 @@ def write_records(
     write in all), to path or else stdout; returns the bytes written.
 
     A path gets write-then-rename, so a failure leaves no partial file,
-    and a path that names a directory ('' is the working one) raises
-    IsADirectoryError before the first record is pulled; the file gets
-    mode 0o666 less the umask, as a newly created file would.  A SIGTERM
-    meanwhile removes the temp file, then ends the process by that
-    signal.  columns supplies the header when there are no records.
+    and the file gets mode 0o666 less the umask, as any new file does.
+    A path that exists but is no regular file once links are followed
+    ('' names the working directory) raises FileExistsError before the
+    first record is pulled.  An OSError on the temp file names path.  A
+    SIGTERM meanwhile removes the temp file, then ends the process by
+    that signal.  columns supplies the header when there are no records.
     """
     chunks = _CHUNKS.get(output_format)
     if chunks is None:
@@ -419,9 +419,10 @@ def write_records(
         # past the buffer, which raises BlockingIOError on a full pipe
         sys.stdout.flush()
         return _write_chunks(getattr(sys.stdout.buffer, "raw", sys.stdout.buffer), chunks)
-    if not path or os.path.isdir(path) and not os.path.islink(path):
-        # the rename onto it would fail only after every record is computed
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path or os.path.exists(path) and not os.path.isfile(path):
+        # the rename would fail on a directory after every record, and replace a FIFO or device
+        raise FileExistsError(errno.EEXIST, "not a regular file", path)
+    name = os.path.join(os.path.dirname(os.path.abspath(path)), ".isodescent-" + os.urandom(6).hex())
     import signal
     import threading
 
@@ -432,14 +433,10 @@ def write_records(
         previous = signal.signal(signal.SIGTERM, _raise_terminated)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".isodescent-")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
         with os.fdopen(fd, "wb") as handle:
             size = _write_chunks(handle, chunks)
-        # mkstemp creates the file 0600 whatever the umask (which can
-        # only be read by setting it)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -451,6 +448,8 @@ def write_records(
             # end by the signal, as an unhandled SIGTERM would (status 143)
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
             signal.raise_signal(signal.SIGTERM)
+        if isinstance(exc, OSError) and exc.filename == name:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
     finally:
         if handled:

@@ -13,7 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -32,6 +32,7 @@ from isodescent.cli import (
     write_records,
 )
 from isodescent.workers import forked_map
+from conftest import deadline
 from records_csv import parse_records_csv
 
 
@@ -218,7 +219,9 @@ class TestEmit:
     def test_empty_text_without_columns(self, capsysbinary):
         assert emitted([], "text", capsysbinary) == b"(no records)\n"
 
-    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o027, 0o640)], ids=["umask022", "umask077", "umask027"]
+    )
     def test_file_mode_follows_umask(self, tmp_path, umask, mode):
         target = tmp_path / "out.json"
         records = list(execute(RunConfig(command="classify", p=7)))
@@ -231,6 +234,25 @@ class TestEmit:
         finally:
             os.umask(previous)
 
+    def test_file_mode_needs_neither_umask_nor_chmod(self, monkeypatch, tmp_path):
+        # the kernel applies the umask to the temp file as it creates it:
+        # neither reading the umask nor a chmod is needed
+        target = tmp_path / "out.json"
+        umask = os.umask
+        previous = umask(0o027)
+
+        def refuse(*args):
+            raise AssertionError("write_records changed a mode or the umask")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        monkeypatch.setattr(os, "chmod", refuse)
+        try:
+            write_records([{"p": 7}], "json", path=str(target))
+        finally:
+            monkeypatch.undo()
+            umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
 
 class TestMainExitCodes:
     def test_ok(self, capsys):
@@ -238,35 +260,45 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert json.loads(out)[0]["p"] == 7
 
-    def test_io_error(self):
+    def test_io_error(self, capsys):
         code = main(
             ["classify", "--p", "7", "--format", "csv", "--out", "/nonexistent-dir/x.csv"]
         )
         assert code == 3
+        # the path given, not the hidden temp file beside it
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith(": '/nonexistent-dir/x.csv'") and ".isodescent-" not in line, line
 
     @pytest.mark.parametrize(
-        "argv,engine",
+        "argv,engine,target",
         [
-            (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime"),
-            (["descent", "--a", "0", "--b", "2"], "rank_bounds"),
+            (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime", "outdir"),
+            (["descent", "--a", "0", "--b", "2"], "rank_bounds", "outdir"),
+            (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime", "out.pipe"),
+            (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime", "link"),
         ],
-        ids=["scan", "descent"],
+        ids=["scan", "descent", "fifo", "link-to-directory"],
     )
-    def test_out_names_a_directory(self, monkeypatch, tmp_path, capsys, argv, engine):
-        # refused before the first record is computed, not by the rename
-        # once every record is written
+    def test_out_names_a_directory(self, monkeypatch, tmp_path, capsys, argv, engine, target):
+        # no regular file once links are followed: refused before the first
+        # record is computed, not by a rename that fails once every record
+        # is written (a directory) or replaces the target (a FIFO, a link)
         import isodescent.cli as cli_mod
 
         calls = []
         compute = getattr(cli_mod, engine)
         monkeypatch.setattr(cli_mod, engine, lambda *args: calls.append(args) or compute(*args))
         (tmp_path / "outdir").mkdir()
-        assert main([*argv, "--out", str(tmp_path / "outdir")]) == 3
+        os.mkfifo(tmp_path / "out.pipe")
+        (tmp_path / "link").symlink_to("outdir")
+        assert main([*argv, "--out", str(tmp_path / target)]) == 3
         assert calls == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write output:"), err
-        assert [f.name for f in tmp_path.iterdir()] == ["outdir"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["link", "out.pipe", "outdir"]
         assert list((tmp_path / "outdir").iterdir()) == []
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "out.pipe").st_mode)
+        assert os.readlink(tmp_path / "link") == "outdir"
 
     def test_empty_out_is_refused_before_any_record(self, monkeypatch, tmp_path, capsys):
         # '' names the working directory: refused before the first record
@@ -450,22 +482,6 @@ def refuse_fork():
     raise AssertionError("a one-process run forked")
 
 
-@contextmanager
-def deadline(seconds: int):
-    """Raise TimeoutError in the body after seconds, so that a hang fails."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def failing_fork(monkeypatch, n: int) -> list[int]:
     """Make fork number n fail with EAGAIN, as at a process limit; returns
     the list that the pids of the forks before it are added to."""
@@ -489,14 +505,15 @@ def assert_reaped(pid: int) -> None:
 
 
 class TestPoolClamp:
-    """The pool: the children this process forks for a scan."""
+    """How many children this process forks for a scan: J = min(--jobs,
+    usable CPUs, primes), none when J is 1."""
 
     @pytest.mark.parametrize(
         "cpus,range_max,expected",
         [(4, 30, [4]), (64, 10, [4]), (None, 30, []), (1, 30, []), (4, 2, [])],
     )
     def test_processes_capped_by_cores_and_primes(self, monkeypatch, cpus, range_max, expected):
-        # expected: the size of the pool, or [] when this process runs alone
+        # expected: the forked workers, or [] when this process runs alone
         import isodescent.cli as cli_mod
 
         # the first source of the count (Python 3.13+; None when unknown)
@@ -548,7 +565,7 @@ class TestPoolClamp:
 
     @pytest.mark.parametrize("n,jobs", [(1, 2), (3, 4), (10**6, 2), (10**6, 4)])
     def test_k_records_read_at_most_jobs_plus_k_primes(self, monkeypatch, n, jobs):
-        # J primes to size the pool, then one per record: each child walks
+        # J primes to choose J, then one per record: each child walks
         # its own copy of the primes, so none are read here on its behalf
         import isodescent.cli as cli_mod
 
@@ -1062,7 +1079,7 @@ class TestTerminatedOut:
     def test_sigterm_leaves_no_temp_file(self, jobs, tmp_path):
         # a scan that runs far longer than the test waits; SIGTERM while its
         # records stream into the temp file must remove that file and still
-        # end the process by the signal, pool workers included
+        # end the process by the signal, forked workers included
         argv = ["scan", "--max", "200000", "--height-bound", "20", "--format", "csv", "--jobs", str(jobs)]
         proc = subprocess.Popen(
             [sys.executable, "-m", "isodescent.cli", *argv, "--out", "F.csv"],
@@ -1087,7 +1104,7 @@ class TestClosedPipe:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reader_closes_the_pipe(self, jobs):
         # a reader that stops after the header, as `| head -n 1` does: the
-        # scan must end with exit 3 and one error line, pool workers included
+        # scan must end with exit 3 and one error line, forked workers included
         argv = ["scan", "--max", "20000", "--height-bound", "20", "--format", "csv", "--jobs", str(jobs)]
         proc = subprocess.Popen(
             [sys.executable, "-m", "isodescent.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
