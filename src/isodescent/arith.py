@@ -241,11 +241,10 @@ def quartic_symbol(a: int, p: int) -> int:
         raise ValueError(f"quartic_symbol requires p = 1 mod 4, got {p}")
     if a % p == 0:
         raise ValueError(f"quartic_symbol undefined: {p} divides {a}")
-    if jacobi(a, p) != 1:
-        raise ValueError(f"quartic_symbol undefined: {a} is not a quadratic residue mod {p}")
+    # r^2 = (a/p) by Euler's criterion, so r = +-1 iff a is a residue
     r = pow(a % p, (p - 1) // 4, p)
     if r == 1:
         return 1
     if r == p - 1:
         return -1
-    raise AssertionError("quartic symbol of a quadratic residue must be +-1")
+    raise ValueError(f"quartic_symbol undefined: {a} is not a quadratic residue mod {p}")

@@ -404,11 +404,12 @@ def write_records(
     write in all), to path or else stdout; returns the bytes written.
 
     A path gets write-then-rename, so a failure leaves no partial file,
-    and the file gets mode 0o666 less the umask, as any new file does.
-    A path that exists but is no regular file once links are followed
-    ('' names the working directory) raises FileExistsError before the
-    first record is pulled.  An OSError on the temp file names path.  A
-    SIGTERM meanwhile removes the temp file, then ends the process by
+    and the file gets mode 0o666 less the umask, as any new file does.  A
+    path that exists but is no regular file once links are followed (''
+    names the working directory) raises FileExistsError, and one ending in
+    '/' that names no directory fails at the temp file in it, both before
+    the first record is pulled.  An OSError on the temp file names path.
+    A SIGTERM meanwhile removes the temp file, then ends the process by
     that signal.  columns supplies the header when there are no records.
     """
     chunks = _CHUNKS.get(output_format)
@@ -422,7 +423,7 @@ def write_records(
     if not path or os.path.exists(path) and not os.path.isfile(path):
         # the rename would fail on a directory after every record, and replace a FIFO or device
         raise FileExistsError(errno.EEXIST, "not a regular file", path)
-    name = os.path.join(os.path.dirname(os.path.abspath(path)), ".isodescent-" + os.urandom(6).hex())
+    name = os.path.join(os.path.dirname(path), ".isodescent-" + os.urandom(6).hex())
     import signal
     import threading
 

@@ -485,23 +485,12 @@ def _divisors_of(fact: dict[int, int]) -> list[int]:
     return sorted(out)
 
 
-def _quadratic_integer_roots(mid: int, const: int) -> list[int]:
-    """Integer roots of x^2 + mid*x + const."""
-    disc = mid * mid - 4 * const
-    if disc < 0:
-        return []
-    r = isqrt(disc)
-    if r * r != disc:
-        return []
-    return sorted({(-mid + s) // 2 for s in (r, -r) if (-mid + s) % 2 == 0})
-
-
 def _cubic_integer_roots(a2: int, a1: int, a0: int) -> list[int]:
-    """Integer roots of x^3 + a2*x^2 + a1*x + a0 (rational-root theorem)."""
-    if a0 == 0:
-        return sorted({0} | set(_quadratic_integer_roots(a2, a1)))
-    roots = set()
-    for d in _divisors_of(factorize(a0)):
+    """Integer roots of x^3 + a2*x^2 + a1*x + a0, a0 or a1 nonzero: 0 when
+    a0 = 0, and the others divide the lowest nonzero coefficient
+    (rational-root theorem)."""
+    roots = set() if a0 else {0}
+    for d in _divisors_of(factorize(a0 or a1)):
         for x in (d, -d):
             if ((x + a2) * x + a1) * x + a0 == 0:
                 roots.add(x)

@@ -45,7 +45,8 @@ their verdicts: all E_p : y^2 = x^3 + 18p^2x with p > 3 ask the same
 32 Q_2 and 8 Q_3 questions at most, over both sides.
 
 The test suite cross-examines solvable_padic with an independent,
-certified breadth-first residue search (tests/oracle.py).
+certified breadth-first residue search (tests/oracle.py), whose square
+test is _power_class, not the class bits that is_zl_square reads.
 
 Values that are exact squares in Z_l include 0: a point with w = 0 is a
 point.  All arithmetic is exact.
@@ -149,16 +150,8 @@ def _poly_shift(f: Poly, t0: int, l: int) -> Poly:
 
 
 def is_zl_square(val: int, l: int) -> bool:
-    """Exact test: is the integer val a square in Z_l (0 counts)."""
-    if val == 0:
-        return True
-    v = _vl(val, l)
-    if v % 2:
-        return False
-    u = val // l**v
-    if l == 2:
-        return u % 8 == 1
-    return pow(u % l, (l - 1) // 2, l) == 1  # Euler's criterion
+    """Whether the integer val is a square in Z_l: 0, or no class bit set."""
+    return val == 0 or not _square_class_bits(val, l)
 
 
 def _strip_even_content(f: Poly, l: int) -> tuple[Poly, int]:

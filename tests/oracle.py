@@ -5,12 +5,15 @@ definite answer with a certificate (an exact Z_l-square value, or a
 proof that every residue class mod l^k is pinned to a non-square).  The
 tests use it to cross-examine isodescent.local.solvable_padic; it is
 tri-state because it must never claim completeness beyond its depth.
+Its square test reads the class of a value in Q_l*/Q_l*^2 from
+_power_class, not from the class bits (_square_class_bits) that the
+engine's is_zl_square reads, so a fault in either shows as disagreement.
 """
 
 from enum import Enum
 
 from isodescent.arith import _vl, is_prime
-from isodescent.local import Poly, QuarticForm, _form_poly, _poly_eval, is_zl_square
+from isodescent.local import Poly, QuarticForm, _form_poly, _poly_eval, _power_class
 
 
 class Verdict(Enum):
@@ -30,7 +33,7 @@ def _bfs_one(f: Poly, l: int, depth: int) -> Verdict:
             for digit in range(l):
                 z0 = base + digit * modulus
                 val = _poly_eval(f, z0)
-                if is_zl_square(val, l):
+                if val == 0 or _power_class(val, l, 2) == (0, 1):
                     return Verdict.SOLVABLE
                 # f(z) = val mod l^k on the whole class; once v(val) is
                 # far enough below k the square-ness of the class is pinned.

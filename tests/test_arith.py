@@ -408,6 +408,16 @@ class TestQuarticSymbol:
                     continue
                 assert quartic_symbol(a * a, p) == jacobi(a, p)
 
+    @pytest.mark.parametrize("p", [p for p in primes_up_to(300) if p % 4 == 1])
+    def test_defined_exactly_on_the_residues(self, p):
+        fourth_powers = {pow(x, 4, p) for x in range(1, p)}
+        for a in range(1, p):
+            if jacobi(a, p) == -1:
+                with pytest.raises(ValueError, match=f"^quartic_symbol undefined: {a} is not a quadratic residue mod {p}$"):
+                    quartic_symbol(a, p)
+            else:
+                assert quartic_symbol(a, p) == (1 if a in fourth_powers else -1)
+
     def test_fourth_power_equivalence_sample(self):
         for p in (17, 41, 73, 89, 97, 113, 137, 193):
             expected = 1 if any(pow(x, 4, p) == 2 for x in range(1, p)) else -1

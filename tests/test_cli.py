@@ -276,13 +276,17 @@ class TestMainExitCodes:
             (["descent", "--a", "0", "--b", "2"], "rank_bounds", "outdir"),
             (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime", "out.pipe"),
             (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime", "link"),
+            (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime", "nodir/"),
+            (["scan", "--max", "3000", "--height-bound", "20", "--jobs", "1"], "verify_prime", "afile/"),
         ],
-        ids=["scan", "descent", "fifo", "link-to-directory"],
+        ids=["scan", "descent", "fifo", "link-to-directory", "missing-directory", "file-as-directory"],
     )
     def test_out_names_a_directory(self, monkeypatch, tmp_path, capsys, argv, engine, target):
         # no regular file once links are followed: refused before the first
         # record is computed, not by a rename that fails once every record
-        # is written (a directory) or replaces the target (a FIFO, a link)
+        # is written (a directory) or replaces the target (a FIFO, a link);
+        # a trailing slash names a directory that the temp file cannot be
+        # opened in (none, or a regular file)
         import isodescent.cli as cli_mod
 
         calls = []
@@ -291,12 +295,17 @@ class TestMainExitCodes:
         (tmp_path / "outdir").mkdir()
         os.mkfifo(tmp_path / "out.pipe")
         (tmp_path / "link").symlink_to("outdir")
-        assert main([*argv, "--out", str(tmp_path / target)]) == 3
+        (tmp_path / "afile").write_bytes(b"kept\n")
+        # a string: tmp_path / "nodir/" would drop the slash
+        out = f"{tmp_path}/{target}"
+        assert main([*argv, "--out", out]) == 3
         assert calls == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write output:"), err
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["link", "out.pipe", "outdir"]
+        assert err[0].endswith(f": {out!r}"), err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["afile", "link", "out.pipe", "outdir"]
         assert list((tmp_path / "outdir").iterdir()) == []
+        assert (tmp_path / "afile").read_bytes() == b"kept\n"
         assert stat.S_ISFIFO(os.lstat(tmp_path / "out.pipe").st_mode)
         assert os.readlink(tmp_path / "link") == "outdir"
 

@@ -676,6 +676,23 @@ class TestTorsion:
         xs = {P.x for P in points if not P.is_identity}
         assert {Fraction(0), Fraction(-1), Fraction(-5)} <= xs
 
+    @pytest.mark.parametrize("a,b", [(1, 1), (0, 2)])
+    def test_no_integer_root_of_the_quadratic(self, a, b):
+        # x^2 + a*x + b has no integer root: 0 is the only root of y = 0
+        assert torsion_info(CurveModel(a, b)) == [CurvePoint.identity(), CurvePoint.affine(0, 0)]
+
+    @given(a2=st.integers(-2000, 2000), a1=st.integers(-2000, 2000), a0=st.integers(-2000, 2000))
+    @example(a2=-3, a1=2, a0=0)  # x(x - 1)(x - 2)
+    @example(a2=0, a1=-4, a0=0)  # x(x - 2)(x + 2)
+    @example(a2=-6, a1=11, a0=-6)  # (x - 1)(x - 2)(x - 3)
+    @settings(max_examples=200, deadline=None)
+    def test_cubic_roots_equal_a_walk(self, a2, a1, a0):
+        # a nonzero integer root divides the lowest nonzero coefficient
+        assume(a0 or a1)
+        bound = max(abs(a0), abs(a1))
+        walk = [x for x in range(-bound, bound + 1) if ((x + a2) * x + a1) * x + a0 == 0]
+        assert descent._cubic_integer_roots(a2, a1, a0) == walk
+
 
 class TestAlphaImage:
     def test_e7_everything_is_torsion(self):

@@ -3,7 +3,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isodescent import local
@@ -455,6 +455,17 @@ class TestIsZlSquare:
         assert not is_zl_square(5 * 9, 5)  # odd valuation
         assert is_zl_square(17, 2)  # 17 = 1 mod 8
         assert not is_zl_square(12, 2)  # 12 = 4 * 3, 3 != 1 mod 8
+
+    @given(n=st.integers(min_value=-10**30, max_value=10**30), l=st.sampled_from(primes_up_to(50)))
+    @example(n=0, l=2)
+    @example(n=-7 * 4**40, l=2)  # -7 = 1 mod 8: a square
+    @example(n=3 * 4**40, l=2)
+    @example(n=-(3**60), l=3)  # -1 is no square mod 3
+    @example(n=2 * 5**41, l=5)  # odd valuation
+    @example(n=-(13**26), l=13)  # -1 is a square mod 13
+    @settings(max_examples=400, deadline=None)
+    def test_is_the_trivial_power_class(self, n, l):
+        assert is_zl_square(n, l) == (n == 0 or local._power_class(n, l, 2) == (0, 1))
 
 
 # ---------------------------------------------------------------------------
