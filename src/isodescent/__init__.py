@@ -4,8 +4,9 @@ Library layout:
 
   arith    exact integer primitives (primality, valuations, symbols)
   local    solvability of w^2 = d1 + c z^2 + d2 z^4 over R and Q_l
-  descent  curves, isogenies, Selmer groups, point search, rank bounds
+  descent  curves, Selmer groups, point search, rank bounds
   family   everything specific to y^2 = x^3 + 18p^2x
+  points   rational points: group law, isogenies, torsion, space points
   cli      command-line front end (isodescent ...)
   workers  the forked processes of a multi-process scan
 """
@@ -20,21 +21,14 @@ from .arith import (
 )
 from .descent import (
     CurveModel,
-    CurvePoint,
-    HomSpacePoint,
     RankBounds,
     SelmerGroup,
     alpha_image,
-    apply_dual_isogeny,
-    apply_isogeny,
     bad_places,
     divisor_classes,
     dual_curve,
-    homspace_to_curve,
     rank_bounds,
-    search_homspace_points,
     selmer,
-    torsion_info,
 )
 from .family import (
     FamilyReport,
@@ -47,9 +41,7 @@ from .family import (
     find_repr,
     proposition_rank,
     theorem_bound,
-    transform_point,
     verify_prime,
-    witness_homspace_point,
 )
 from .local import (
     INFINITY,

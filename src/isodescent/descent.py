@@ -1,9 +1,8 @@
 """2-isogeny descent for curves y^2 = x^3 + a*x^2 + b*x.
 
-Curve and dual-curve models, the isogeny pair and their composition,
-Selmer groups from local solvability of the quartic spaces
-w^2 = b1 + a*z^2 + (b/b1)*z^4, the descent map alpha with a bounded, sieved
-rational point search on those spaces, Lutz-Nagell torsion, and the rank
+Curve and dual-curve models, Selmer groups from local solvability of the
+quartic spaces w^2 = b1 + a*z^2 + (b/b1)*z^4, the descent map alpha with a
+bounded, sieved rational point search on those spaces, and the rank
 bounds
 
     upper = dim S[psibar] + dim S[psi] - 2
@@ -12,8 +11,8 @@ bounds
 Each Selmer group belongs to one curve and is computed from that curve's
 own spaces, whose middle coefficient is the curve's own a: S[psibar] of E
 is selmer(E) and S[psi] of E is selmer(dual_curve(E)).  A curve and its
-dual have the same bad places.  All point arithmetic is exact rational
-arithmetic.
+dual have the same bad places.  Rational points and their arithmetic are
+in points.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
-from .arith import _factorization, class_product, factorize, squarefree_class
+from .arith import _factorization, class_product, squarefree_class
 from .local import (
     INFINITY,
     Place,
@@ -31,14 +30,6 @@ from .local import (
     _GroupVerdicts,
     solvable_everywhere_locally,
 )
-
-if TYPE_CHECKING:
-    # points are built by the few functions that import fractions themselves:
-    # no rank bound or Selmer group needs it
-    from fractions import Fraction
-
-# Mazur: rational torsion has order at most 12
-_MAX_TORSION_ORDER = 12
 
 
 class InternalConsistencyError(RuntimeError):
@@ -59,40 +50,6 @@ class CurveModel(NamedTuple("CurveModel", [("a", int), ("b", int)])):
         if a * a == 4 * b:
             raise ValueError("singular curve: a^2 = 4b")
         return super().__new__(cls, a, b)
-
-
-class CurvePoint(NamedTuple):
-    """The identity, or an affine rational point."""
-
-    x: Optional[Fraction]
-    y: Optional[Fraction]
-
-    @classmethod
-    def identity(cls) -> "CurvePoint":
-        return cls(None, None)
-
-    @classmethod
-    def affine(cls, x, y) -> "CurvePoint":
-        from fractions import Fraction
-
-        return cls(Fraction(x), Fraction(y))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x is None
-
-
-class HomSpacePoint(
-    NamedTuple("HomSpacePoint", [("b1", int), ("z", "Fraction"), ("w", "Fraction")])
-):
-    """Rational point (z, w) on w^2 = b1 + a*z^2 + (b/b1)*z^4, z != 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, b1: int, z: Fraction, w: Fraction) -> "HomSpacePoint":
-        if z == 0:
-            raise ValueError("homogeneous space point requires z != 0")
-        return super().__new__(cls, b1, z, w)
 
 
 def _group_dim(classes: frozenset[int]) -> int:
@@ -127,36 +84,6 @@ class RankBounds(NamedTuple):
 # curve-level operations
 
 
-def on_curve(E: CurveModel, P: CurvePoint) -> bool:
-    if P.is_identity:
-        return True
-    x, y = P.x, P.y
-    return y * y == x * x * x + E.a * x * x + E.b * x
-
-
-def _require_on_curve(E: CurveModel, P: CurvePoint) -> None:
-    if not on_curve(E, P):
-        raise ValueError(f"point {P} is not on y^2 = x^3 + {E.a}x^2 + {E.b}x")
-
-
-def point_add(E: CurveModel, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition on y^2 = x^3 + a*x^2 + b*x."""
-    if P.is_identity:
-        return Q
-    if Q.is_identity:
-        return P
-    if P.x == Q.x:
-        if P.y == -Q.y:
-            return CurvePoint.identity()
-        # duplication
-        lam = (3 * P.x * P.x + 2 * E.a * P.x + E.b) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - E.a - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return CurvePoint(x3, y3)
-
-
 def dual_curve(E: CurveModel) -> CurveModel:
     """(a, b) -> (-2a, a^2 - 4b); nonsingular whenever E is."""
     return CurveModel(-2 * E.a, E.a * E.a - 4 * E.b)
@@ -175,6 +102,13 @@ def bad_places(E: CurveModel) -> frozenset[Place]:
         bbar //= 16
     primes = {2} | {p for p, _ in _factorization(abs(E.b)) + _factorization(bbar)}
     return frozenset({INFINITY} | {Place(p) for p in primes})
+
+
+def _divisors_of(fact: dict[int, int]) -> list[int]:
+    out = [1]
+    for p, e in fact.items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def divisor_classes(b: int) -> list[int]:
@@ -242,7 +176,7 @@ def selmer(E: CurveModel) -> SelmerGroup:
 
 
 # ---------------------------------------------------------------------------
-# rational points on the spaces
+# point search on the spaces
 
 
 # Moduli of the square sieve, each a prime power: a power of 2 (every value
@@ -377,40 +311,6 @@ def _search_class(
                     yield m, e, r
 
 
-def search_homspace_points(E: CurveModel, b1: int, height_bound: int) -> list[HomSpacePoint]:
-    """All rational points z = m/e, max(|m|, e) <= height_bound, on the b1
-    space of E, with both signs of z and w emitted.
-
-    The search is drained and its hits are sorted, so the list does not
-    depend on the ring order in which the sieve yields them.
-    """
-    if height_bound < 1:
-        raise ValueError("height_bound must be >= 1")
-    if b1 not in divisor_classes(E.b):
-        raise ValueError(f"{b1} is not a divisor class of b = {E.b}")
-    from fractions import Fraction
-
-    points: list[HomSpacePoint] = []
-    for m, e, wn in sorted(_search_class(E, b1, height_bound)):
-        z = Fraction(m, e)
-        w = Fraction(wn, e * e)
-        for zs in (z, -z):
-            for ws in (w, -w) if w != 0 else (w,):
-                points.append(HomSpacePoint(b1, zs, ws))
-    return points
-
-
-def homspace_to_curve(E: CurveModel, P: HomSpacePoint) -> CurvePoint:
-    """(z, w) on the b1 space maps to (b1/z^2, b1*w/z^3) on E."""
-    from fractions import Fraction
-
-    x = Fraction(P.b1) / (P.z * P.z)
-    y = Fraction(P.b1) * P.w / (P.z * P.z * P.z)
-    point = CurvePoint(x, y)
-    _require_on_curve(E, point)
-    return point
-
-
 def alpha_image(E: CurveModel, height_bound: int) -> frozenset[int]:
     """Subgroup of square classes proven to lie in the image of E(Q) under
     the descent map (x, y) -> x mod squares.
@@ -436,90 +336,6 @@ def alpha_image(E: CurveModel, height_bound: int) -> frozenset[int]:
     if not generated <= sel.classes:
         raise InternalConsistencyError("alpha image escaped its Selmer group")
     return generated
-
-
-# ---------------------------------------------------------------------------
-# isogenies
-
-
-def apply_isogeny(E: CurveModel, P: CurvePoint) -> CurvePoint:
-    """The 2-isogeny (x, y) -> (y^2/x^2, y*(b - x^2)/x^2) onto the dual.
-
-    The kernel {O, (0,0)} maps to the identity.
-    """
-    _require_on_curve(E, P)
-    target = dual_curve(E)
-    if P.is_identity or P.x == 0:
-        return CurvePoint.identity()
-    x, y = P.x, P.y
-    X = (y / x) ** 2
-    Y = y * (E.b - x * x) / (x * x)
-    image = CurvePoint(X, Y)
-    _require_on_curve(target, image)
-    return image
-
-
-def apply_dual_isogeny(E: CurveModel, P: CurvePoint) -> CurvePoint:
-    """The dual isogeny (X, Y) -> (Y^2/4X^2, Y*(bbar - X^2)/8X^2) onto E.
-
-    That is the isogeny of the dual curve, onto its dual (4a, 16b),
-    followed by (x, y) -> (x/4, y/8) onto E.  Composing after apply_isogeny
-    is multiplication by 2 on E.
-    """
-    image = apply_isogeny(dual_curve(E), P)
-    if image.is_identity:
-        return image
-    image = CurvePoint(image.x / 4, image.y / 8)
-    _require_on_curve(E, image)
-    return image
-
-
-# ---------------------------------------------------------------------------
-# torsion
-
-
-def _divisors_of(fact: dict[int, int]) -> list[int]:
-    out = [1]
-    for p, e in fact.items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def _cubic_integer_roots(a2: int, a1: int, a0: int) -> list[int]:
-    """Integer roots of x^3 + a2*x^2 + a1*x + a0, a0 or a1 nonzero: 0 when
-    a0 = 0, and the others divide the lowest nonzero coefficient
-    (rational-root theorem)."""
-    roots = set() if a0 else {0}
-    for d in _divisors_of(factorize(a0 or a1)):
-        for x in (d, -d):
-            if ((x + a2) * x + a1) * x + a0 == 0:
-                roots.add(x)
-    return sorted(roots)
-
-
-def torsion_info(E: CurveModel) -> list[CurvePoint]:
-    """All rational torsion points, by Lutz-Nagell candidates certified
-    through multiples (Mazur's bound caps the order at 12).
-
-    Candidates have y = 0 or y^2 | disc = 16*b^2*(a^2 - 4b); integral x.
-    """
-    disc = 16 * E.b * E.b * (E.a * E.a - 4 * E.b)
-    fact = factorize(disc)
-    y_candidates = [0] + _divisors_of({p: e // 2 for p, e in fact.items() if e >= 2})
-    found = {CurvePoint.identity()}
-    for y in y_candidates:
-        for x in _cubic_integer_roots(E.a, E.b, -y * y):
-            for sign in (1, -1) if y else (1,):
-                P = CurvePoint.affine(x, sign * y)
-                if not on_curve(E, P) or P in found:
-                    continue
-                acc = P
-                for _ in range(_MAX_TORSION_ORDER):
-                    if acc.is_identity:
-                        found.add(P)
-                        break
-                    acc = point_add(E, acc, P)
-    return sorted(found, key=lambda P: (not P.is_identity, P.x or 0, P.y or 0))
 
 
 # ---------------------------------------------------------------------------

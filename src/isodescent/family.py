@@ -2,9 +2,9 @@
 
 Classification by p mod 24 and the quartic character of 2, closed-form
 Selmer groups (the five-case and three-case tables), rank ceilings, the
-fourth-power representation searches 3p = a^4 + 2b^4 and p = a^4 + 18b^4
-with their induced points on the 3p- and p-spaces, and a cross-validation
-harness that runs the generic descent engine against all of it.
+fourth-power representation searches 3p = a^4 + 2b^4 and p = a^4 + 18b^4,
+and a cross-validation harness that runs the generic descent engine
+against all of it.  The points these representations induce are in points.
 
 Closed forms here are lookup tables; the generic engine in descent.py
 recomputes the same groups from local solvability, and verify_prime
@@ -21,24 +21,11 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .arith import _iroot, is_prime, quartic_symbol, squarefree_class
-from .descent import (
-    CurveModel,
-    CurvePoint,
-    HomSpacePoint,
-    RankBounds,
-    SelmerGroup,
-    dual_curve,
-    on_curve,
-    rank_bounds,
-    selmer,
-)
+from .arith import _iroot, is_prime, quartic_symbol
+from .descent import CurveModel, RankBounds, SelmerGroup, dual_curve, rank_bounds, selmer
 
 KIND_3P = "a4+2b4=3p"  # 3p = a^4 + 2*b^4, point on the 3p-space
 KIND_P = "a4+18b4=p"  # p  = a^4 + 18*b^4, point on the p-space
-
-TO_REDUCED = "to_reduced"  # (X, Y) on Y^2 = 3X^3 + 6p^2X  ->  (3X, 3Y)
-FROM_REDUCED = "from_reduced"
 
 
 class PrimeClass(NamedTuple):
@@ -104,27 +91,6 @@ def curve_for_prime(p: int) -> CurveModel:
     return CurveModel(0, 18 * p * p)
 
 
-def transform_point(p: int, P: CurvePoint, direction: str) -> CurvePoint:
-    """Move points between Y^2 = 3X^3 + 6p^2X and y^2 = x^3 + 18p^2x.
-
-    The change of variables is (x, y) = (3X, 3Y); both directions are
-    exact bijections on rational points.
-    """
-    E = curve_for_prime(p)
-    if direction not in (TO_REDUCED, FROM_REDUCED):
-        raise ValueError(f"unknown direction {direction!r}")
-    if P.is_identity:
-        return P
-    X, Y = P.x, P.y
-    if direction == TO_REDUCED:
-        if Y * Y != 3 * X**3 + 6 * p * p * X:
-            raise ValueError("point is not on Y^2 = 3X^3 + 6p^2X")
-        return CurvePoint(3 * X, 3 * Y)
-    if not on_curve(E, P):
-        raise ValueError("point is not on y^2 = x^3 + 18p^2x")
-    return CurvePoint(X / 3, Y / 3)
-
-
 def closed_form_selmer_psibar(p: int) -> SelmerGroup:
     """The five-case table for S_p[psibar], keyed on p mod 24 and (2/p)_4."""
     _, r, q4 = classify(p)
@@ -187,33 +153,6 @@ def find_repr(n: int, k: int) -> Optional[ReprWitness]:
                 return ReprWitness(kind, a, b)
         a += 1
     return None
-
-
-def witness_homspace_point(p: int, w: ReprWitness) -> HomSpacePoint:
-    """Point induced by a representation witness.
-
-    3p = a^4 + 2b^4 gives (z, w) = (b/a, 3p/a^2) on w^2 = 3p + 6p*z^4;
-    p = a^4 + 18b^4 gives (z, w) = (b/a, p/a^2) on w^2 = p + 18p*z^4.
-    """
-    from fractions import Fraction
-
-    curve = curve_for_prime(p)
-    a, b = w.a, w.b
-    if w.kind == KIND_3P:
-        if a**4 + 2 * b**4 != 3 * p:
-            raise ValueError(f"witness {w} does not represent 3*{p}")
-        b1 = squarefree_class(3 * p)
-        point = HomSpacePoint(b1, Fraction(b, a), Fraction(3 * p, a * a))
-    elif w.kind == KIND_P:
-        if a**4 + 18 * b**4 != p:
-            raise ValueError(f"witness {w} does not represent {p}")
-        point = HomSpacePoint(p, Fraction(b, a), Fraction(p, a * a))
-    else:
-        raise ValueError(f"unknown witness kind {w.kind!r}")
-    value = point.b1 + (curve.b // point.b1) * point.z**4
-    if point.w**2 != value:
-        raise AssertionError("witness point fails its space equation")
-    return point
 
 
 def proposition_rank(p: int) -> Optional[PropositionRank]:

@@ -34,9 +34,9 @@ from isodescent.family import (
     curve_for_prime,
     find_repr,
     proposition_rank,
-    witness_homspace_point,
 )
 from isodescent.local import QuarticForm, solvable_padic
+from isodescent.points import witness_homspace_point
 from oracle import Verdict, brute_oracle
 
 PRIME_SET = primes_up_to(2000) + [5297, 9521, 19249]

@@ -925,10 +925,12 @@ class TestImports:
         assert ran == []
 
     def test_a_json_rank_loads_no_fractions_or_csv(self):
-        # no rank record builds a Fraction, csv serves only --format csv,
-        # and getopt parses the command line without argparse or locale
+        # no rank record builds a point (isodescent.points, which imports
+        # fractions), csv serves only --format csv, and getopt parses the
+        # command line without argparse or locale
         out, _, ran = self.loaded(
-            ["rank", "--p", "7", "--format", "json"], ("fractions", "decimal", "csv", "argparse", "locale")
+            ["rank", "--p", "7", "--format", "json"],
+            ("isodescent.points", "fractions", "decimal", "csv", "argparse", "locale"),
         )
         assert json.loads(out)[0]["p"] == 7
         assert ran == []
@@ -936,9 +938,18 @@ class TestImports:
     def test_a_csv_scan_loads_no_fractions_or_json(self):
         out, _, ran = self.loaded(
             ["scan", "--max", "60", "--height-bound", "20", "--jobs", "2", "--format", "csv"],
-            ("fractions", "decimal", "json", "pickle"),
+            ("isodescent.points", "fractions", "decimal", "json", "pickle"),
         )
         assert len(parse_records_csv(out)) == 17
+        assert ran == []
+
+    def test_a_one_job_scan_loads_no_points(self):
+        # here the CLI process computes every record itself
+        out, _, ran = self.loaded(
+            ["scan", "--max", "60", "--height-bound", "20", "--jobs", "1", "--format", "json"],
+            ("isodescent.points", "fractions", "decimal"),
+        )
+        assert len(json.loads(out)) == 17
         assert ran == []
 
 

@@ -13,29 +13,31 @@ from conftest import deadline
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isodescent import descent, local
+from isodescent import descent, local, points
 from isodescent.arith import class_product, factorize, primes_up_to, squarefree_class
 from isodescent.descent import (
     CurveModel,
-    CurvePoint,
-    HomSpacePoint,
     InternalConsistencyError,
     alpha_image,
-    apply_dual_isogeny,
-    apply_isogeny,
     bad_places,
     divisor_classes,
     dual_curve,
-    homspace_to_curve,
-    on_curve,
-    point_add,
     rank_bounds,
-    search_homspace_points,
     selmer,
-    torsion_info,
 )
 from isodescent.family import curve_for_prime, verify_prime
 from isodescent.local import INFINITY, Place, QuarticForm, solvable_padic, solvable_real
+from isodescent.points import (
+    CurvePoint,
+    HomSpacePoint,
+    apply_dual_isogeny,
+    apply_isogeny,
+    homspace_to_curve,
+    on_curve,
+    point_add,
+    search_homspace_points,
+    torsion_info,
+)
 
 E7 = CurveModel(0, 18 * 49)
 E5 = CurveModel(0, 18 * 25)
@@ -118,9 +120,9 @@ class TestDualCurve:
         E = CurveModel(0, 8)
         EE = dual_curve(dual_curve(E))
         assert EE == CurveModel(0, 16 * 8)
-        P = CurvePoint.affine(1, 3)
+        P = CurvePoint(1, 3)
         assert on_curve(E, P)
-        assert on_curve(EE, CurvePoint.affine(4 * P.x, 8 * P.y))
+        assert on_curve(EE, CurvePoint(4 * P.x, 8 * P.y))
 
 
 class TestBadPlaces:
@@ -593,19 +595,19 @@ class TestHomspaceToCurve:
 
 class TestIsogenies:
     def test_kernel_to_identity(self):
-        assert apply_isogeny(E7, CurvePoint.affine(0, 0)).is_identity
+        assert apply_isogeny(E7, CurvePoint(0, 0)).is_identity
         assert apply_isogeny(E7, CurvePoint.identity()).is_identity
-        assert apply_dual_isogeny(E7, CurvePoint.affine(0, 0)).is_identity
+        assert apply_dual_isogeny(E7, CurvePoint(0, 0)).is_identity
 
     def test_image_on_dual(self):
         E = CurveModel(0, 4)
-        P = CurvePoint.affine(2, 4)
+        P = CurvePoint(2, 4)
         image = apply_isogeny(E, P)
         assert on_curve(dual_curve(E), image)
 
     def test_composition_is_doubling(self):
         samples = [
-            (CurveModel(0, 4), CurvePoint.affine(2, 4)),
+            (CurveModel(0, 4), CurvePoint(2, 4)),
             (EBIG, homspace_to_curve(EBIG, HomSpacePoint(P_BIG, Fraction(4, 11), Fraction(P_BIG, 121)))),
         ]
         for E, P in samples:
@@ -615,10 +617,10 @@ class TestIsogenies:
 
     def test_rejects_points_off_curve(self):
         with pytest.raises(ValueError):
-            apply_isogeny(E7, CurvePoint.affine(1, 1))
+            apply_isogeny(E7, CurvePoint(1, 1))
         Ebar = dual_curve(E7)
         with pytest.raises(ValueError, match=rf"^point .* is not on y\^2 = x\^3 \+ {Ebar.a}x\^2 \+ {Ebar.b}x$"):
-            apply_dual_isogeny(E7, CurvePoint.affine(1, 1))
+            apply_dual_isogeny(E7, CurvePoint(1, 1))
 
     @given(
         a=st.integers(min_value=-30, max_value=30),
@@ -630,11 +632,11 @@ class TestIsogenies:
         # b = x0*(t^2 - x0 - a) puts (x0, t*x0) on y^2 = x^3 + a*x^2 + b*x
         b = x0 * (t * t - x0 - a)
         assume(b != 0 and a * a != 4 * b)
-        E, P = CurveModel(a, b), CurvePoint.affine(x0, t * x0)
+        E, P = CurveModel(a, b), CurvePoint(x0, t * x0)
         Ebar = dual_curve(E)
         Q = apply_isogeny(E, P)
         assert apply_dual_isogeny(E, Q) == point_multiply(E, 2, P)
-        for R in (Q, point_add(Ebar, Q, CurvePoint.affine(0, 0))):
+        for R in (Q, point_add(Ebar, Q, CurvePoint(0, 0))):
             assert on_curve(Ebar, R)
             assert apply_isogeny(E, apply_dual_isogeny(E, R)) == point_multiply(Ebar, 2, R)
 
@@ -642,27 +644,41 @@ class TestIsogenies:
 class TestPointArithmetic:
     def test_add_and_negate(self):
         E = CurveModel(0, 4)
-        P = CurvePoint.affine(2, 4)
+        P = CurvePoint(2, 4)
         assert point_add(E, P, CurvePoint.identity()) == P
-        assert point_add(E, P, CurvePoint.affine(2, -4)).is_identity
+        assert point_add(E, P, CurvePoint(2, -4)).is_identity
 
     def test_order_four(self):
         E = CurveModel(0, 4)
-        P = CurvePoint.affine(2, 4)
-        assert point_multiply(E, 2, P) == CurvePoint.affine(0, 0)
+        P = CurvePoint(2, 4)
+        assert point_multiply(E, 2, P) == CurvePoint(0, 0)
         assert point_multiply(E, 4, P).is_identity
+
+    def test_int_coordinates_become_fractions(self):
+        # int / int is a float: with int coordinates kept, 2(2, 4) on
+        # y^2 = x^3 + 4x came out as (0.0, 0.0), and 4(2, 2) on
+        # y^2 = x^3 - 2x in floats and off the curve
+        doubled = point_add(CurveModel(0, 4), CurvePoint(2, 4), CurvePoint(2, 4))
+        E, P = CurveModel(0, -2), CurvePoint(2, 2)
+        acc = P
+        for _ in range(3):
+            acc = point_add(E, acc, P)
+        assert {type(c) for Q in (P, doubled, acc) for c in Q} == {Fraction}
+        assert on_curve(E, acc)
+        assert acc == CurvePoint(Fraction(12769, 7056), Fraction(900271, 592704))
+        assert CurvePoint.identity() == (None, None)
 
 
 class TestTorsion:
     def test_family_two_torsion_only(self):
         assert torsion_info(CurveModel(0, 18 * 25)) == [
             CurvePoint.identity(),
-            CurvePoint.affine(0, 0),
+            CurvePoint(0, 0),
         ]
 
     def test_order_four_curve(self):
         points = torsion_info(CurveModel(0, 4))
-        assert CurvePoint.affine(2, 4) in points
+        assert CurvePoint(2, 4) in points
         assert len(points) == 4
 
     def test_all_points_on_curve(self):
@@ -679,7 +695,7 @@ class TestTorsion:
     @pytest.mark.parametrize("a,b", [(1, 1), (0, 2)])
     def test_no_integer_root_of_the_quadratic(self, a, b):
         # x^2 + a*x + b has no integer root: 0 is the only root of y = 0
-        assert torsion_info(CurveModel(a, b)) == [CurvePoint.identity(), CurvePoint.affine(0, 0)]
+        assert torsion_info(CurveModel(a, b)) == [CurvePoint.identity(), CurvePoint(0, 0)]
 
     @given(a2=st.integers(-2000, 2000), a1=st.integers(-2000, 2000), a0=st.integers(-2000, 2000))
     @example(a2=-3, a1=2, a0=0)  # x(x - 1)(x - 2)
@@ -691,7 +707,7 @@ class TestTorsion:
         assume(a0 or a1)
         bound = max(abs(a0), abs(a1))
         walk = [x for x in range(-bound, bound + 1) if ((x + a2) * x + a1) * x + a0 == 0]
-        assert descent._cubic_integer_roots(a2, a1, a0) == walk
+        assert points._cubic_integer_roots(a2, a1, a0) == walk
 
 
 class TestAlphaImage:

@@ -4,12 +4,10 @@ from itertools import product
 import pytest
 
 from isodescent.arith import factorize, is_prime, primes_up_to
-from isodescent.descent import CurveModel, CurvePoint, bad_places, dual_curve, selmer
+from isodescent.descent import CurveModel, bad_places, dual_curve, selmer
 from isodescent.family import (
-    FROM_REDUCED,
     KIND_3P,
     KIND_P,
-    TO_REDUCED,
     ReprWitness,
     classify,
     closed_form_selmer_psi,
@@ -18,10 +16,9 @@ from isodescent.family import (
     find_repr,
     proposition_rank,
     theorem_bound,
-    transform_point,
     verify_prime,
-    witness_homspace_point,
 )
+from isodescent.points import FROM_REDUCED, TO_REDUCED, CurvePoint, transform_point, witness_homspace_point
 
 
 class TestCurveForPrime:
@@ -46,27 +43,27 @@ class TestTransformPoint:
         assert transform_point(5, P, FROM_REDUCED) == P
 
     def test_two_torsion_fixed(self):
-        P = CurvePoint.affine(0, 0)
+        P = CurvePoint(0, 0)
         assert transform_point(5, P, TO_REDUCED) == P
         assert transform_point(5, P, FROM_REDUCED) == P
 
     def test_round_trip(self):
         # (25, 225) lies on Y^2 = 3X^3 + 6*25*X; its image is (75, 675)
-        P = CurvePoint.affine(25, 225)
+        P = CurvePoint(25, 225)
         reduced = transform_point(5, P, TO_REDUCED)
-        assert reduced == CurvePoint.affine(75, 675)
+        assert reduced == CurvePoint(75, 675)
         assert transform_point(5, reduced, FROM_REDUCED) == P
 
     def test_thirds_stay_rational(self):
-        reduced = CurvePoint.affine(75, 675)
+        reduced = CurvePoint(75, 675)
         back = transform_point(5, reduced, FROM_REDUCED)
         assert back.x == Fraction(25) and back.y == Fraction(225)
 
     def test_rejects_off_model(self):
         with pytest.raises(ValueError):
-            transform_point(5, CurvePoint.affine(1, 1), TO_REDUCED)
+            transform_point(5, CurvePoint(1, 1), TO_REDUCED)
         with pytest.raises(ValueError):
-            transform_point(5, CurvePoint.affine(1, 1), FROM_REDUCED)
+            transform_point(5, CurvePoint(1, 1), FROM_REDUCED)
 
 
 class TestClassify:

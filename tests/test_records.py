@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from isodescent import cli
-from isodescent.descent import CurveModel, CurvePoint, HomSpacePoint, RankBounds
+from isodescent.descent import CurveModel, RankBounds
 from isodescent.family import verify_prime
 from isodescent.local import Place, QuarticForm
+from isodescent.points import CurvePoint, HomSpacePoint
 
 
 def _records():
@@ -23,7 +24,7 @@ def _records():
         Place(7),
         Place(None),
         CurveModel(0, 18 * 49),
-        CurvePoint.affine(2, 4),
+        CurvePoint(2, 4),
         CurvePoint.identity(),
         HomSpacePoint(1, Fraction(1, 2), Fraction(5, 4)),
         report,
