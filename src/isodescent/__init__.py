@@ -9,47 +9,8 @@ Library layout:
   points   rational points: group law, isogenies, torsion, space points
   cli      command-line front end (isodescent ...)
   workers  the forked processes of a multi-process scan
-"""
 
-from .arith import (
-    is_prime,
-    jacobi,
-    primes_up_to,
-    quartic_symbol,
-    squarefree_class,
-    valuation,
-)
-from .descent import (
-    CurveModel,
-    RankBounds,
-    SelmerGroup,
-    alpha_image,
-    bad_places,
-    divisor_classes,
-    dual_curve,
-    rank_bounds,
-    selmer,
-)
-from .family import (
-    FamilyReport,
-    PrimeClass,
-    ReprWitness,
-    classify,
-    closed_form_selmer_psi,
-    closed_form_selmer_psibar,
-    curve_for_prime,
-    find_repr,
-    proposition_rank,
-    theorem_bound,
-    verify_prime,
-)
-from .local import (
-    INFINITY,
-    Place,
-    QuarticForm,
-    solvable_everywhere_locally,
-    solvable_padic,
-    solvable_real,
-)
+Every name is imported from its module (from isodescent.descent import selmer).
+"""
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ class CurveModel(NamedTuple("CurveModel", [("a", int), ("b", int)])):
     """y^2 = x^3 + a*x^2 + b*x, nonsingular."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace run __new__
 
     def __new__(cls, a: int, b: int) -> "CurveModel":
         if b == 0:

@@ -69,6 +69,7 @@ class QuarticForm(NamedTuple("QuarticForm", [("d1", int), ("c", int), ("d2", int
     """The curve w^2 = d1 + c*z^2 + d2*z^4 with nonzero discriminant."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace run __new__
 
     def __new__(cls, d1: int, c: int, d2: int) -> "QuarticForm":
         if d1 == 0 or d2 == 0:
@@ -87,6 +88,7 @@ class Place(NamedTuple("Place", [("prime", Optional[int])])):
     """A place of Q: a finite prime, or None for the real place."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace run __new__
 
     def __new__(cls, prime: Optional[int]) -> "Place":
         if prime is not None and not is_prime(prime):

@@ -32,6 +32,7 @@ class CurvePoint(NamedTuple("CurvePoint", [("x", Optional[Fraction]), ("y", Opti
     coordinates are converted with Fraction when it is built."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace run __new__
 
     def __new__(cls, x, y) -> "CurvePoint":
         return super().__new__(cls, *(None if c is None else Fraction(c) for c in (x, y)))
@@ -49,6 +50,7 @@ class HomSpacePoint(NamedTuple("HomSpacePoint", [("b1", int), ("z", Fraction), (
     """Rational point (z, w) on w^2 = b1 + a*z^2 + (b/b1)*z^4, z != 0."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace run __new__
 
     def __new__(cls, b1: int, z: Fraction, w: Fraction) -> "HomSpacePoint":
         if z == 0:

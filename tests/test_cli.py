@@ -952,6 +952,13 @@ class TestImports:
         assert len(json.loads(out)) == 17
         assert ran == []
 
+    def test_the_package_loads_no_module(self):
+        # the package re-exports nothing: every name is imported from its module
+        script = "import sys, isodescent\nprint(*sorted(m for m in sys.modules if m.startswith('isodescent.')))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
 
 class TestScanDeterminism:
     def test_jobs_equivalence(self):

@@ -667,6 +667,8 @@ class TestPointArithmetic:
         assert on_curve(E, acc)
         assert acc == CurvePoint(Fraction(12769, 7056), Fraction(900271, 592704))
         assert CurvePoint.identity() == (None, None)
+        # _replace builds through the same conversion
+        assert type(CurvePoint(1, 2)._replace(x=3).x) is Fraction
 
 
 class TestTorsion:

@@ -50,6 +50,20 @@ def _records():
             lambda: HomSpacePoint(1, Fraction(0), Fraction(1)),
             "homogeneous space point requires z != 0",
         ),
+        # _make and _replace run the constructor's checks
+        pytest.param(lambda: CurveModel(0, 1)._replace(b=0), "curve requires b != 0", id="CurveModel._replace"),
+        pytest.param(lambda: CurveModel._make((2, 1)), "singular curve: a^2 = 4b", id="CurveModel._make"),
+        pytest.param(
+            lambda: QuarticForm(1, 0, 1)._replace(d1=0),
+            "quartic form requires d1 != 0 and d2 != 0",
+            id="QuarticForm._replace",
+        ),
+        pytest.param(lambda: Place(7)._replace(prime=4), "finite place must be prime, got 4", id="Place._replace"),
+        pytest.param(
+            lambda: HomSpacePoint(1, Fraction(1), Fraction(1))._replace(z=0),
+            "homogeneous space point requires z != 0",
+            id="HomSpacePoint._replace",
+        ),
     ],
 )
 def test_validation_messages(build, message):
