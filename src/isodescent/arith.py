@@ -16,20 +16,20 @@ import math
 from functools import lru_cache
 from typing import Iterator, Optional
 
-# Deterministic Miller-Rabin witness set, valid for all n below this bound
-# (Sorenson-Webster).  Inputs past the bound are rejected rather than
-# answered probabilistically.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# is_prime trial-divides by these 13 primes, then runs Miller-Rabin to each
+# as a base; IS_PRIME_LIMIT is psi_13, the least strong pseudoprime to all
+# of them (Sorenson-Webster), and larger n are rejected
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 IS_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 # the factorizations, places and symbols of one curve ask about the same few
 # primes again and again
 @lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 1 <= n < IS_PRIME_LIMIT.
+    """Deterministic primality test for 1 <= n < IS_PRIME_LIMIT = psi_13:
+    trial division by the 13 bases 2 ... 41, then Miller-Rabin to each
+    (Sorenson-Webster; the first 12 alone pass psi_12).
 
     Raises ValueError outside the supported range (never cached); never
     probabilistic.
@@ -40,16 +40,16 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"is_prime supports n < {IS_PRIME_LIMIT}, got {n}")
     if n == 1:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _BASES:
         if n % p == 0:
             return n == p
-    # n odd, n > 47: Miller-Rabin with the fixed witness set
+    # n > 41 has no factor in _BASES, so each base is a unit mod n
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

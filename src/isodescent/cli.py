@@ -98,7 +98,7 @@ def _max_arg(text: str) -> int:
 
 def _format_arg(text: str) -> str:
     if text not in _CHUNKS:
-        raise ValueError(f"invalid choice: {text!r} (choose from json, csv, text)")
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(_CHUNKS)})")
     return text
 
 
@@ -123,7 +123,7 @@ def _exit(command: Optional[str], error: Optional[str] = None) -> NoReturn:
     exit 0 with the help on stdout."""
     if command:
         text, required, optional = _COMMANDS[command]
-        meta = {"format": "{json,csv,text}", "out": "PATH", "height-bound": "N"}
+        meta = {"format": "{" + ",".join(_CHUNKS) + "}", "out": "PATH", "height-bound": "N"}
         flags = [f"--{name} {meta.get(name, name.upper())}" for name in {**required, **optional}]
         usage = " ".join([command, "[-h]", *flags[: len(required)], *(f"[{f}]" for f in flags[len(required) :])])
     else:

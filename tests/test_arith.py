@@ -2,6 +2,7 @@ import collections
 import inspect
 import itertools
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -60,6 +61,37 @@ class TestIsPrime:
         sympy = pytest.importorskip("sympy")
         for n in (10**9 + 7, 10**9 + 9, 2**61 - 1, 2**61 + 15, 10**12 + 39, 10**12 + 41):
             assert is_prime(n) == bool(sympy.isprime(n))
+
+    # psi_t, the least strong pseudoprime to each of the first t prime bases,
+    # for t = 1 ... 12 (Jaeschke; Sorenson-Webster): psi_7 = psi_8 and
+    # psi_9 = psi_10 = psi_11
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            2047,
+            1373653,
+            25326001,
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+            318665857834031151167461,
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, psi):
+        assert not is_prime(psi)
+
+    def test_largest_prime_in_range(self):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(sympy.prevprime(IS_PRIME_LIMIT))
+
+    def test_agrees_with_sympy_near_the_limit(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0)
+        for _ in range(2000):
+            n = rng.randrange(10**23 + 1, IS_PRIME_LIMIT, 2)
+            assert is_prime(n) == bool(sympy.isprime(n)), n
 
     @pytest.mark.parametrize("bad", [0, -5])
     def test_rejects_nonpositive(self, bad):

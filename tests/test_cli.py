@@ -363,6 +363,9 @@ class TestMainExitCodes:
         "args,message",
         [
             (["rank", "--p", "3317044064679887385961983"], b"past the range of the primality test"),
+            # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to
+            # every prime base up to 37
+            (["rank", "--p", "318665857834031151167461"], b"argument --p: 318665857834031151167461 is not prime\n"),
             (["rank", "--p", "x"], b"'x' is not an integer"),
             (["scan", "--max", "x"], b"'x' is not an integer"),
             (["scan", "--max", "10", "--jobs", "x"], b"'x' is not an integer"),
@@ -371,7 +374,10 @@ class TestMainExitCodes:
             (["scan", "--max", "0"], b"expected a positive integer, got 0"),
             (["scan", "--max", str(IS_PRIME_LIMIT)], b"past the range of the primality test (--max <"),
         ],
-        ids=["p-past-primality-range", "p", "max", "jobs", "height-bound", "a", "max-zero", "max-past-primality-range"],
+        ids=[
+            "p-past-primality-range", "p-strong-pseudoprime", "p", "max", "jobs", "height-bound", "a", "max-zero",
+            "max-past-primality-range",
+        ],
     )
     def test_bad_argument_message(self, args, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -389,8 +395,12 @@ class TestMainExitCodes:
             ["rank", "--p", "7", "--bogus"],
             ["rnak", "--p", "7"],
             [],
+            ["rank", "--p", "318665857834031151167461"],
         ],
-        ids=["format", "missing-p", "stray-positional", "unknown-flag", "unknown-command", "no-command"],
+        ids=[
+            "format", "missing-p", "stray-positional", "unknown-flag", "unknown-command", "no-command",
+            "p-strong-pseudoprime",
+        ],
     )
     def test_usage_error_is_one_line(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -400,6 +410,15 @@ class TestMainExitCodes:
         err = captured.err.splitlines()
         assert captured.out == "" and len(err) == 2, err
         assert err[0].startswith("usage: isodescent") and err[1].startswith("isodescent: error: "), err
+
+    def test_format_usage_and_error_bytes(self, capsys):
+        # both the metavar and the choices are built from the writers' table
+        with pytest.raises(SystemExit):
+            parse_args(["rank", "--p", "7", "--format", "xml"])
+        assert capsys.readouterr().err.splitlines() == [
+            "usage: isodescent rank [-h] --p P [--format {json,csv,text}] [--out PATH] [--height-bound N]",
+            "isodescent: error: argument --format: invalid choice: 'xml' (choose from json, csv, text)",
+        ]
 
     @pytest.mark.parametrize("args", [["--help"], ["-h"], ["rank", "--help"], ["scan", "--max", "7", "-h"]])
     def test_help(self, args, capsys):
@@ -427,8 +446,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "b",
-        [10**27 + 7, 10**400 + 1],
-        ids=["cofactor-not-a-prime-power", "past-float-range"],
+        [10**27 + 7, 10**400 + 1, 318665857834031151167461],
+        ids=["cofactor-not-a-prime-power", "past-float-range", "strong-pseudoprime"],
     )
     def test_unfactorable_b_exits_two_quickly(self, b):
         proc = run_cli(["descent", "--a", "0", "--b", str(b)], timeout=60)
