@@ -16,11 +16,29 @@ import math
 from functools import lru_cache
 from typing import Iterator, Optional
 
-# is_prime trial-divides by these 13 primes, then runs Miller-Rabin to each
-# as a base; IS_PRIME_LIMIT is psi_13, the least strong pseudoprime to all
-# of them (Sorenson-Webster), and larger n are rejected
+# is_prime trial-divides by these 13 primes, then runs Miller-Rabin to them
+# as bases in turn; IS_PRIME_LIMIT is psi_13, the least strong pseudoprime to
+# all of them (Sorenson-Webster), and larger n are rejected
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 IS_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to the first k bases (Jaeschke for
+# k <= 11, Sorenson-Webster for 12 and 13): an n < psi_k that passes bases
+# 1 ... k is prime, so is_prime stops there
+_PSI = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    IS_PRIME_LIMIT,
+)
 
 
 # the factorizations, places and symbols of one curve ask about the same few
@@ -28,8 +46,8 @@ IS_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 @lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 1 <= n < IS_PRIME_LIMIT = psi_13:
-    trial division by the 13 bases 2 ... 41, then Miller-Rabin to each
-    (Sorenson-Webster; the first 12 alone pass psi_12).
+    trial division by the 13 bases 2 ... 41, then Miller-Rabin to the first
+    k of them, for the least k with n < psi_k.
 
     Raises ValueError outside the supported range (never cached); never
     probabilistic.
@@ -49,16 +67,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _BASES:
+    for a, psi in zip(_BASES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 

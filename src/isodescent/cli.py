@@ -319,13 +319,18 @@ def _csv_cell(value) -> str:
 
 
 def _json_chunks(records: Iterable[dict], columns) -> Iterator[str]:
-    """json.dumps(list(records), indent=2) + "\n", one record at a time."""
+    """json.dumps(list(records), indent=2) + "\n", one record at a time.
+
+    A record is a flat dict of scalars, so its indented lines are its
+    items joined by ",\n    ": json's C encoder writes them with that
+    separator, where indent=2 would take the pure-Python encoder.
+    """
     import json
 
-    encode = json.JSONEncoder(indent=2).encode
+    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
     opening = "[\n  "
     for rec in records:
-        yield opening + encode(rec).replace("\n", "\n  ")
+        yield opening + ("{\n    " + encode(rec)[1:-1] + "\n  }" if rec else "{}")
         opening = ",\n  "
     yield "[]\n" if opening == "[\n  " else "\n]\n"
 

@@ -27,6 +27,7 @@ from .local import (
     INFINITY,
     Place,
     QuarticForm,
+    _class_vector,
     _GroupVerdicts,
     solvable_everywhere_locally,
 )
@@ -90,19 +91,34 @@ def dual_curve(E: CurveModel) -> CurveModel:
     return CurveModel(-2 * E.a, E.a * E.a - 4 * E.b)
 
 
-def bad_places(E: CurveModel) -> frozenset[Place]:
-    """Infinity together with every prime dividing 2*b*bbar, the same set
-    for E and its dual.
+def _bad_primes(E: CurveModel) -> tuple[int, ...]:
+    """The primes dividing 2*b*bbar, ascending, the same for E and its dual.
 
-    2 is always in the set, so a factor 16 of bbar is dropped before it is
-    factored: the dual of the dual has bbar = 16b, and the dual's places
+    2 is always among them, so a factor 16 of bbar is dropped before it is
+    factored: the dual of the dual has bbar = 16b, and the dual's primes
     then come from the factorizations E already made.
     """
-    bbar = abs(dual_curve(E).b)
+    bbar = abs(E.a * E.a - 4 * E.b)
     if bbar % 16 == 0:
         bbar //= 16
-    primes = {2} | {p for p, _ in _factorization(abs(E.b)) + _factorization(bbar)}
-    return frozenset({INFINITY} | {Place(p) for p in primes})
+    return tuple(sorted({2} | {p for p, _ in _factorization(abs(E.b)) + _factorization(bbar)}))
+
+
+def bad_places(E: CurveModel) -> frozenset[Place]:
+    """Infinity together with every prime dividing 2*b*bbar, the same set
+    for E and its dual."""
+    return frozenset({INFINITY} | {Place(p) for p in _bad_primes(E)})
+
+
+# a curve and its dual have the same primes, so the second Selmer group of a
+# record reads the setup of the first
+@lru_cache(maxsize=4)
+def _place_setup(primes: tuple[int, ...]) -> tuple[tuple[Place, ...], tuple[tuple[int, int], ...]]:
+    """(places, generators) for the ascending primes of a curve pair: its
+    bad places in the canonical order (infinity, then the primes), and the
+    pairs (g, class vector of g at those places) for g = -1 and each prime."""
+    places = (INFINITY, *map(Place, primes))
+    return places, tuple((g, _class_vector(g, places)) for g in (-1, *primes))
 
 
 def _divisors_of(fact: dict[int, int]) -> list[int]:
@@ -132,17 +148,20 @@ def selmer(E: CurveModel) -> SelmerGroup:
     This is S[psibar] of E; S[psi] of E is selmer(dual_curve(E)).  The
     candidates b1 are the products of the subsets of -1 and the primes of
     b, and their classes in Q_v*/Q_v*^2 at the bad places are vectors
-    over F_2.  The subsets are walked in Gray-code order, so each b1 and
-    its class vector cost one multiplication or exact division by one
-    generator and one XOR.  The verdict of a place depends only on the
+    over F_2; the places and the generators' vectors come from the setup
+    that E shares with its dual (_place_setup).  The subsets are walked
+    in Gray-code order, so each b1 and its class vector cost one
+    multiplication or exact division by one generator and one XOR.  The verdict of a place depends only on the
     class of b1 there (see local), so each place decides each of its at
     most 8 classes once, for the first candidate that has it.  The result
     is checked to contain 1 and the class of b, and to be a subgroup: the
     accepted subsets number 2^(rank of their span).
     """
     a, b = E
-    verdicts = _GroupVerdicts(bad_places(E), a, b)
-    gens = [(g, verdicts.class_vector(g)) for g in [-1] + [p for p, _ in _factorization(abs(b))]]
+    places, generators = _place_setup(_bad_primes(E))
+    verdicts = _GroupVerdicts(places, a, b)
+    # -1 and the primes of b, in that order
+    gens = [(g, w) for g, w in generators if b % g == 0]
     # step i of the Gray code flips bit t of the subset: b1 gains or loses
     # generator t, and its class vector XORs in that generator's
     b1, v, accepted = 1, 0, {}
@@ -214,12 +233,14 @@ def _orbit_key(q: int, b1: int, a: int, d2: int) -> tuple[int, int, int]:
 # earlier curve; rows of the full block width fill about 5 KiB an entry, so
 # the cache holds at most about 5 MiB
 @lru_cache(maxsize=1024)
-def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[tuple[int, ...], int]:
-    """(rows, live).  Entry r of rows is the nbits-bit row whose bit j is
-    set when m = m0 + j makes b1*r^4 + a*m^2*r^2 + d2*m^4 a square mod q
-    and shares no prime of q with r (all arguments but nbits taken mod q):
-    the row of every denominator e = r (mod q).  Bit r of live is set
-    when row r is not empty.
+def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[tuple[int, ...], int, int]:
+    """(rows, live, diagonal).  Entry r of rows is the nbits-bit row whose
+    bit j is set when m = m0 + j makes b1*r^4 + a*m^2*r^2 + d2*m^4 a
+    square mod q and shares no prime of q with r (all arguments but nbits
+    taken mod q): the row of every denominator e = r (mod q).  Bit r of
+    live is set when row r is not empty.  Bit k of diagonal is set when
+    the row of e = m0 + k is not empty: the denominators worth walking in
+    a block whose e run over the same nbits values as its m.
 
     q is a prime power, so a pair (m, e) left out for a common prime of
     q has gcd(m, e) > 1 and is no primitive point.  Entries r and q - r
@@ -240,7 +261,8 @@ def _sieve_rows(q: int, b1: int, a: int, d2: int, m0: int, nbits: int) -> tuple[
         # repeated past nbits + q bits, then shifted so bit j is residue m0 + j
         half.append(mask * repeat >> m0 & full)
     rows = tuple(half + half[1 : (q + 1) // 2][::-1])
-    return rows, sum(1 << r for r, row in enumerate(rows) if row)
+    live = sum(1 << r for r, row in enumerate(rows) if row)
+    return rows, live, live * repeat >> m0 & full
 
 
 def _search_class(
@@ -283,8 +305,8 @@ def _search_class(
             alive = (1 << ebits) - 1
             sieve = []
             for q, b1q, aq, d2q in residues:
-                rows, live = _sieve_rows(q, b1q, aq, d2q, m0 % q, nbits)
-                alive &= live * _every(q, ebits) >> e0 % q
+                rows, live, diagonal = _sieve_rows(q, b1q, aq, d2q, m0 % q, nbits)
+                alive &= diagonal if i == j else live * _every(q, ebits) >> e0 % q
                 sieve.append((q, rows))
             while alive:
                 low = alive & -alive

@@ -7,9 +7,10 @@ solvable_padic is a complete residue-recursion engine that answers
 True or False.  A Q_l-point exists iff a Z_l-point (with v(z) >= 0)
 exists on the form or on its reciprocal (d2, c, d1), the image of
 z -> 1/z, w -> w/z^2; points with v(z) < 0 are never enumerated
-directly.  Each Z_l question is decided by recursing on residue discs
-around roots of the reduced polynomial, stripping even powers of l
-from the content as it goes.  Recursion depth is capped at
+directly.  A Z_l square d1 or d2 is the point z = 0 on one of the two,
+and answers at once.  Each other Z_l question is decided by recursing
+on residue discs around roots of the reduced polynomial, stripping even
+powers of l from the content as it goes.  Recursion depth is capped at
 D = v_l(4*d1*d2*(c^2-4*d1*d2)) + 3 (two more at l = 2); exceeding the
 cap raises rather than guessing.
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arith import _vl, is_prime
 
@@ -79,9 +80,6 @@ class QuarticForm(NamedTuple("QuarticForm", [("d1", int), ("c", int), ("d2", int
         # the tuple itself, without the generated __new__ of NamedTuple:
         # selmer builds one form per candidate
         return tuple.__new__(cls, (d1, c, d2))
-
-    def reciprocal(self) -> "QuarticForm":
-        return QuarticForm(self.d2, self.c, self.d1)
 
 
 class Place(NamedTuple("Place", [("prime", Optional[int])])):
@@ -172,6 +170,21 @@ def _strip_even_content(f: Poly, l: int) -> tuple[Poly, int]:
 # roots over F_l, l an odd prime, of the reductions the Z_l search meets
 
 
+# the Z_l searches of one Q_l question take their square roots mod one l
+@lru_cache(maxsize=8)
+def _sylow_data(l: int) -> tuple[int, int, int]:
+    """(q, e, y) with l - 1 = 2^e * q, q odd, and y = n^q for the least
+    non-residue n mod the odd prime l: a generator of the 2-Sylow subgroup
+    of F_l*."""
+    q, e = l - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    n = 2
+    while pow(n, (l - 1) // 2, l) == 1:
+        n += 1
+    return q, e, pow(n, q, l)
+
+
 def _sqrt_mod(a: int, l: int) -> Optional[int]:
     """A square root of a mod the odd prime l, or None if a is not a square
     mod l (Tonelli-Shanks; Cohen, A Course in Computational Algebraic
@@ -181,13 +194,7 @@ def _sqrt_mod(a: int, l: int) -> Optional[int]:
         return 0
     if pow(a, (l - 1) // 2, l) != 1:
         return None
-    q, e = l - 1, 0  # l - 1 = 2^e * q with q odd
-    while q % 2 == 0:
-        q, e = q // 2, e + 1
-    n = 2
-    while pow(n, (l - 1) // 2, l) == 1:
-        n += 1
-    y, r = pow(n, q, l), e  # y generates the 2-Sylow subgroup of F_l*
+    q, r, y = _sylow_data(l)
     x = pow(a, (q - 1) // 2, l)
     b, x = a * x * x % l, a * x % l  # x^2 = a*b, b in the 2-Sylow subgroup
     while b != 1:
@@ -259,9 +266,11 @@ def _zl_search_odd(f: Poly, l: int, budget: int) -> Optional[int]:
     square mod l.  So the first such t0 in 0, 1, ... is the answer; only
     when there is none are the roots of g searched, in ascending order.
     """
-    f, e = _strip_even_content(f, l)
-    unit_part = f if e == 0 else tuple(c // l for c in f)
-    gmod = [c % l for c in unit_part]
+    gmod, e = [c % l for c in f], 0
+    if not any(gmod):
+        # no coefficient is an l-unit: take the even part out of the content
+        f, e = _strip_even_content(f, l)
+        gmod = [(c // l**e) % l for c in f]
     while gmod and gmod[-1] == 0:
         gmod.pop()
     if not gmod:
@@ -320,21 +329,21 @@ def _depth_cap(q: QuarticForm, l: int) -> int:
     return cap
 
 
-def _form_poly(q: QuarticForm) -> Poly:
-    return (q.d1, 0, q.c, 0, q.d2)
-
-
 def solvable_padic(q: QuarticForm, l: int) -> bool:
     """Whether w^2 = d1 + c*z^2 + d2*z^4 has a point over Q_l: whether the
-    Z_l search of the form or of its reciprocal finds a z0.
+    Z_l search of the form or of its reciprocal (d2, c, d1) finds a z0.
 
+    A Z_l square d1 or d2 is the point z = 0 on the form or on the
+    reciprocal, which that search would find, so it answers without one.
     Raises ValueError unless l is prime.
     """
     if not is_prime(l):
         raise ValueError(f"solvable_padic requires a prime, got {l}")
+    d1, c, d2 = q
+    if is_zl_square(d1, l) or is_zl_square(d2, l):
+        return True
     cap = _depth_cap(q, l)
-    for form in (q, q.reciprocal()):
-        poly = _form_poly(form)
+    for poly in ((d1, 0, c, 0, d2), (d2, 0, c, 0, d1)):
         z0 = _zl_search_two(poly, cap) if l == 2 else _zl_search_odd(poly, l, cap)
         if z0 is not None:
             return True
@@ -386,30 +395,31 @@ def _verdict_table(key: tuple) -> list[Optional[bool]]:
     return [None] * 8
 
 
+def _class_vector(n: int, places: Sequence[Place]) -> int:
+    """The class bits of n at every place, 3 bits a place: the vector of
+    m*n is the XOR of those of m and of n."""
+    return sum(_square_class_bits(n, pl.prime) << 3 * i for i, pl in enumerate(places))
+
+
 class _GroupVerdicts:
     """The places of the forms (d1, c, d1d2/d1) that share c and d1*d2, as
-    the spaces of one Selmer group do, in the canonical order (infinity
-    first, then ascending primes).  Each place has a table of 8 verdicts
-    indexed by the class bits of d1 there: a table of the group's own at
-    infinity, and at a prime l the _verdict_table of the forms' Q_l key,
-    which every curve with that key shares."""
+    the spaces of one Selmer group do, given in the canonical order
+    (infinity first, then ascending primes).  Each place has a table of 8
+    verdicts indexed by the class bits of d1 there: a table of the group's
+    own at infinity, and at a prime l the _verdict_table of the forms' Q_l
+    key, which every curve with that key shares."""
 
     __slots__ = ("places", "tables")
 
-    def __init__(self, places: Iterable[Place], c: int, d1d2: int) -> None:
-        self.places = sorted(places, key=lambda pl: -1 if pl.is_infinite else pl.prime)
-        if not self.places:
+    def __init__(self, places: Sequence[Place], c: int, d1d2: int) -> None:
+        if not places:
             raise ValueError("solvable_everywhere_locally requires a nonempty place set")
+        self.places = places
         # (shift of the place's bits in a class vector, verdicts, prime or None)
         self.tables = [
             (3 * i, [None] * 8 if pl.is_infinite else _verdict_table(_fixed_key(pl.prime, c, d1d2)), pl.prime)
-            for i, pl in enumerate(self.places)
+            for i, pl in enumerate(places)
         ]
-
-    def class_vector(self, n: int) -> int:
-        """The class bits of n at every place, 3 bits a place: the vector
-        of m*n is the XOR of those of m and of n."""
-        return sum(_square_class_bits(n, pl.prime) << 3 * i for i, pl in enumerate(self.places))
 
 
 def solvable_everywhere_locally(
@@ -425,9 +435,10 @@ def solvable_everywhere_locally(
     solvable_real or solvable_padic.
     """
     if not isinstance(places, _GroupVerdicts):
-        places = _GroupVerdicts(places, q.c, q.d1 * q.d2)
+        ordered = sorted(places, key=lambda pl: -1 if pl.is_infinite else pl.prime)
+        places = _GroupVerdicts(ordered, q.c, q.d1 * q.d2)
     if vector is None:
-        vector = places.class_vector(q.d1)
+        vector = _class_vector(q.d1, places.places)
     for shift, table, l in places.tables:
         bits = vector >> shift & 7
         verdict = table[bits]

@@ -13,7 +13,7 @@ engine's is_zl_square reads, so a fault in either shows as disagreement.
 from enum import Enum
 
 from isodescent.arith import _vl, is_prime
-from isodescent.local import Poly, QuarticForm, _form_poly, _poly_eval, _power_class
+from isodescent.local import Poly, QuarticForm, _poly_eval, _power_class
 
 
 class Verdict(Enum):
@@ -57,10 +57,10 @@ def brute_oracle(q: QuarticForm, l: int, depth: int) -> Verdict:
         raise ValueError(f"brute_oracle requires a prime, got {l}")
     if depth < 1:
         raise ValueError(f"brute_oracle requires depth >= 1, got {depth}")
-    a = _bfs_one(_form_poly(q), l, depth)
+    a = _bfs_one((q.d1, 0, q.c, 0, q.d2), l, depth)
     if a is Verdict.SOLVABLE:
         return a
-    b = _bfs_one(_form_poly(q.reciprocal()), l, depth)
+    b = _bfs_one((q.d2, 0, q.c, 0, q.d1), l, depth)
     if b is Verdict.SOLVABLE:
         return b
     if a is Verdict.UNSOLVABLE and b is Verdict.UNSOLVABLE:

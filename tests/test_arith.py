@@ -39,6 +39,26 @@ def _trial_division_prime(n: int) -> bool:
     return True
 
 
+# psi_k, the least strong pseudoprime to each of the first k prime bases,
+# for k = 1 ... 13 (Jaeschke; Sorenson-Webster for psi_12 and psi_13):
+# psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
 class TestIsPrime:
     def test_smallest_prime(self):
         assert is_prime(2)
@@ -62,25 +82,42 @@ class TestIsPrime:
         for n in (10**9 + 7, 10**9 + 9, 2**61 - 1, 2**61 + 15, 10**12 + 39, 10**12 + 41):
             assert is_prime(n) == bool(sympy.isprime(n))
 
-    # psi_t, the least strong pseudoprime to each of the first t prime bases,
-    # for t = 1 ... 12 (Jaeschke; Sorenson-Webster): psi_7 = psi_8 and
-    # psi_9 = psi_10 = psi_11
-    @pytest.mark.parametrize(
-        "psi",
-        [
-            2047,
-            1373653,
-            25326001,
-            3215031751,
-            2152302898747,
-            3474749660383,
-            341550071728321,
-            3825123056546413051,
-            318665857834031151167461,
-        ],
-    )
+    @pytest.mark.parametrize("psi", sorted(set(PSI[:12])))
     def test_strong_pseudoprimes_are_composite(self, psi):
         assert not is_prime(psi)
+
+    # the bands [psi_(k-1), psi_k) that hold an n (psi_0 = 1): those of
+    # k = 8, 10 and 11 are empty
+    @pytest.mark.parametrize("k", [k for k in range(1, 14) if k == 1 or PSI[k - 2] < PSI[k - 1]])
+    def test_miller_rabin_stops_at_psi_k(self, k, monkeypatch):
+        # an n in [psi_(k-1), psi_k) is decided by the first k bases: a
+        # prime runs exactly those, a composite at most those.  A psi_k in
+        # arith above the true one lets a prime sampled between the two stop
+        # a base early; one below it, run a base too many.
+        sympy = pytest.importorskip("sympy")
+        assert PSI[-1] == IS_PRIME_LIMIT
+        lo, hi = (PSI[k - 2] if k > 1 else 1), PSI[k - 1]
+        bases = []
+
+        def counting_pow(base, exp, mod=None):
+            # the body's one pow per base: the base to the odd part of n - 1
+            bases.append(base)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+        rng = random.Random(k)
+        primes = 0
+        for _ in range(200):
+            n = rng.randrange(lo | 1, hi, 2)
+            bases.clear()
+            prime = bool(sympy.isprime(n))
+            assert arith.is_prime.__wrapped__(n) == prime, n
+            if prime and n > arith._BASES[-1]:
+                assert bases == list(arith._BASES[:k]), n
+                primes += 1
+            else:
+                assert bases == list(arith._BASES[: len(bases)]) and len(bases) <= k, n
+        assert primes > 0
 
     def test_largest_prime_in_range(self):
         sympy = pytest.importorskip("sympy")

@@ -1035,6 +1035,16 @@ class TestStreaming:
             out = target.read_bytes()
         assert out == reference_bytes(list(scan_records(size)), fmt)
 
+    def test_json_of_any_flat_record(self, capsysbinary):
+        # the json writer lays out each record's items itself: every kind
+        # of scalar a record can hold comes out as json.dumps writes it
+        records = [
+            {"p": 7, "s": 'a "quoted"\nline \\ é', "none": None, "yes": True, "no": False, "x": -1.5, "big": 3**80},
+            {},
+            {"only": ""},
+        ]
+        assert emitted(records, "json", capsysbinary) == reference_bytes(records, "json")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_peak_memory_flat(self, fmt, tmp_path):
         # 20 000 scan records, made one at a time: the writer holds none of

@@ -498,7 +498,7 @@ class TestSearchSieve:
         squares = {s * s % q for s in range(q)}
         nbits = 3 * q + 5
         for b1, a, d2 in [(1, 0, 1), (1, 0, -1), (3, 2, 5), (-7, 0, 18 * 49)]:
-            rows, _ = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0 % q, nbits)
+            rows, _, _ = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0 % q, nbits)
             for e in range(q):
                 for j in range(nbits):
                     m = m0 + j
@@ -526,10 +526,22 @@ class TestSearchSieve:
         for nbits in (1, 2, q - 1, q, 2 * q + 3):
             for m0 in (0, 1, q - 1):
                 for b1, a, d2 in [(1, 0, 1), (1, 0, -1), (3, 2, 5), (-7, 0, 18 * 49), (0, 0, 1)]:
-                    rows, live = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0, nbits)
+                    rows, live, _ = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0, nbits)
                     assert live < 1 << q
                     for r in range(q):
                         assert live >> r & 1 == (rows[r] != 0), (nbits, m0, b1, a, d2, r)
+
+    @pytest.mark.parametrize("q", descent._SIEVE_MODULI)
+    def test_diagonal_mask_marks_the_non_empty_rows_of_the_block(self, q):
+        # in a diagonal block the denominators e = m0 + k run over the
+        # nbits values of the numerators: bit k is set when row e is not empty
+        for nbits in (1, 2, q - 1, q, 2 * q + 3):
+            for m0 in (0, 1, q - 1):
+                for b1, a, d2 in [(1, 0, 1), (1, 0, -1), (3, 2, 5), (-7, 0, 18 * 49), (0, 0, 1)]:
+                    rows, _, diagonal = descent._sieve_rows(q, b1 % q, a % q, d2 % q, m0, nbits)
+                    assert diagonal < 1 << nbits
+                    for k in range(nbits):
+                        assert diagonal >> k & 1 == (rows[(m0 + k) % q] != 0), (nbits, m0, b1, a, d2, k)
 
     def test_cache_holds_one_row_set_per_orbit(self, monkeypatch):
         # the scan of the primes <= 1000 at height 60 searches each class

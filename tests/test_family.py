@@ -313,22 +313,32 @@ class TestVerifyPrime:
         with pytest.raises(ValueError, match="15 is not prime"):
             fn(15)
 
-    def test_bad_places_once_per_curve(self, monkeypatch):
+    def test_place_setup_once_per_curve_pair(self, monkeypatch):
         import isodescent.descent as descent_mod
 
-        calls = []
-
-        def counting_bad_places(E):
-            calls.append(E)
-            return bad_places(E)
-
-        monkeypatch.setattr(descent_mod, "bad_places", counting_bad_places)
+        # E and its dual have the same primes: the dual's Selmer group reads
+        # the places and generator class vectors that E's built, and every
+        # later Selmer lookup is a hit in selmer's own cache
         selmer.cache_clear()
+        descent_mod._place_setup.cache_clear()
         verify_prime(1217, 10)
-        # one computation for each curve of the pair, each asked once:
-        # every later Selmer lookup is a hit in selmer's own cache
-        E = curve_for_prime(1217)
-        assert sorted(calls) == sorted([E, dual_curve(E)])
+        info = descent_mod._place_setup.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # where 16 | a^2 - 4b the primes come from bbar/16, and selmer still
+        # decides its classes at the bad places, infinity first
+        seen = []
+        group_verdicts = descent_mod._GroupVerdicts
+
+        def spy(places, c, d1d2):
+            seen.append(places)
+            return group_verdicts(places, c, d1d2)
+
+        monkeypatch.setattr(descent_mod, "_GroupVerdicts", spy)
+        for E in (dual_curve(curve_for_prime(1217)), CurveModel(2, -3), CurveModel(4, -12)):
+            assert (E.a * E.a - 4 * E.b) % 16 == 0
+            seen.clear()
+            selmer.__wrapped__(E)
+            assert seen == [tuple(sorted(bad_places(E), key=lambda pl: -1 if pl.is_infinite else pl.prime))], E
 
     def test_closed_forms_factor_nothing(self, monkeypatch):
         import isodescent.arith as arith_mod

@@ -34,10 +34,6 @@ class TestQuarticForm:
         with pytest.raises(ValueError):
             QuarticForm(3, -6, 3)
 
-    def test_reciprocal(self):
-        q = QuarticForm(3, 1, 294)
-        assert q.reciprocal() == QuarticForm(294, 1, 3)
-
 
 class TestPlace:
     def test_infinity(self):
@@ -87,13 +83,24 @@ KNOWN_CASES = [
 ]
 
 
+def _poly(form):
+    """The coefficients of d1 + c*z^2 + d2*z^4, low degree first."""
+    return (form.d1, 0, form.c, 0, form.d2)
+
+
+def _with_reciprocal(q):
+    """The form and its reciprocal (d2, c, d1), the two that the Z_l
+    search of solvable_padic covers."""
+    return q, QuarticForm(q.d2, q.c, q.d1)
+
+
 def _route_residues(q, l):
     """The z0 that the Z_l search of the form, then of its reciprocal,
     returns at the depth cap (None where it finds none)."""
     cap = local._depth_cap(q, l)
     routes = []
-    for form in (q, q.reciprocal()):
-        poly = local._form_poly(form)
+    for form in _with_reciprocal(q):
+        poly = _poly(form)
         z0 = local._zl_search_two(poly, cap) if l == 2 else local._zl_search_odd(poly, l, cap)
         routes.append((form, z0))
     return routes
@@ -104,7 +111,7 @@ def _found_residues(q, l):
     that solvable_padic is True exactly when one does and that F(z0) is
     then an exact Z_l square: 0, or an even power of l times a unit that
     is 1 mod 8 at l = 2 and a quadratic residue (by jacobi) at odd l."""
-    found = [(form, z0, local._poly_eval(local._form_poly(form), z0)) for form, z0 in _route_residues(q, l) if z0 is not None]
+    found = [(form, z0, local._poly_eval(_poly(form), z0)) for form, z0 in _route_residues(q, l) if z0 is not None]
     assert solvable_padic(q, l) == bool(found), (q, l)
     for _, _, val in found:
         assert is_zl_square(val, l), (q, l)
@@ -172,6 +179,41 @@ class TestSolvablePadic:
         assert solvable_padic(q, 2) is False
         assert [z0 for _, z0 in _route_residues(q, 2)] == [None, None]
 
+    @pytest.mark.parametrize("l", [2, 3, 5, 7, 13, 4999, 1022071])
+    def test_square_outer_coefficient_is_found_by_the_search(self, l):
+        # solvable_padic answers True for a Z_l square d1 or d2 without a
+        # search: z = 0 on the form or on its reciprocal.  The search of
+        # that side must find a point too, so the shortcut is its answer.
+        rng = random.Random(l)
+
+        def square():
+            # l^(2k) times a unit that is a square: 1 mod 8, or a residue
+            unit = 8 * rng.randint(-50, 50) + 1 if l == 2 else rng.randrange(1, l) ** 2 + l * rng.randint(-50, 50)
+            return unit * l ** (2 * rng.randint(0, 2))
+
+        def coefficient():
+            return rng.choice([-1, 1]) * rng.randint(1, 60) * l ** rng.randint(0, 3)
+
+        cases = 0
+        while cases < 100:
+            side = rng.randrange(3)  # d1, d2 or both a Z_l square
+            d1 = square() if side != 1 else coefficient()
+            d2 = square() if side != 0 else coefficient()
+            c = coefficient() if rng.random() < 0.8 else 0
+            if c * c == 4 * d1 * d2:
+                continue
+            q = QuarticForm(d1, c, d2)
+            cap = local._depth_cap(q, l)
+            squares = [form for form in _with_reciprocal(q) if is_zl_square(form.d1, l)]
+            assert squares, (q, l)
+            for form in squares:
+                poly = _poly(form)
+                z0 = local._zl_search_two(poly, cap) if l == 2 else local._zl_search_odd(poly, l, cap)
+                assert z0 is not None, (q, l, form)
+                assert is_zl_square(local._poly_eval(poly, z0), l), (q, l, form)
+            assert solvable_padic(q, l), (q, l)
+            cases += 1
+
 
 class TestEngineProperties:
     def _small_forms(self):
@@ -191,7 +233,7 @@ class TestEngineProperties:
             for l in (2, 3, 5, 7):
                 assert (
                     solvable_padic(q, l)
-                    == solvable_padic(q.reciprocal(), l)
+                    == solvable_padic(QuarticForm(q.d2, q.c, q.d1), l)
                 )
 
     def test_square_scaling_invariance(self):
@@ -522,7 +564,7 @@ def _random_forms(rng, count):
 def _walk_residues(q, l):
     """_route_residues with the walk in place of _zl_search_odd."""
     cap = local._depth_cap(q, l)
-    return [(form, walk_zl_search_odd(local._form_poly(form), l, cap)) for form in (q, q.reciprocal())]
+    return [(form, walk_zl_search_odd(_poly(form), l, cap)) for form in _with_reciprocal(q)]
 
 
 class TestOddSearchAgainstWalk:
@@ -651,7 +693,7 @@ class TestScaledSquareEarlyStop:
             return real_test(val, ll)
 
         monkeypatch.setattr(local, "is_zl_square", counting)
-        assert local._zl_search_odd(local._form_poly(q), l, 5) is None
+        assert local._zl_search_odd(_poly(q), l, 5) is None
         assert tested == [n]
         assert solvable_padic(q, l) is False
 
