@@ -2,7 +2,7 @@
 
 Library layout:
 
-  arith    exact integer primitives (primality, valuations, symbols)
+  arith    exact integer primitives (primality, factoring, symbols)
   local    solvability of w^2 = d1 + c z^2 + d2 z^4 over R and Q_l
   descent  curves, Selmer groups, point search, rank bounds
   family   everything specific to y^2 = x^3 + 18p^2x

@@ -1,9 +1,9 @@
 """Exact integer arithmetic primitives.
 
-Primality, p-adic valuations, Jacobi and rational quartic residue symbols,
-and canonical square-class representatives.  Everything here is a pure
-function on Python ints (arbitrary precision), deterministic, and safe to
-call concurrently.
+Primality, the primes up to a limit (iter_primes), factoring, the
+rational quartic residue symbol, and canonical square-class
+representatives.  Everything here is a pure function on Python ints
+(arbitrary precision), deterministic, and safe to call concurrently.
 
 Square classes are represented by signed squarefree integers: the class of
 a nonzero rational v is the unique squarefree integer s with v = s * k^2.
@@ -81,18 +81,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def valuation(n: int, l: int) -> int:
-    """Largest e with l^e dividing n.  n must be nonzero, l prime."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    if not is_prime(l):
-        raise ValueError(f"valuation requires a prime base, got {l}")
-    return _vl(n, l)
-
-
 def _vl(n: int, l: int) -> int:
-    """valuation(n, l) without its checks, for callers that already know
-    n != 0 and l prime (the local engine asks this at every residue)."""
+    """Largest e with l^e dividing n, for n != 0 and l prime (unchecked:
+    the local engine asks this at every residue)."""
     e = 0
     while n % l == 0:
         n //= l
@@ -126,13 +117,6 @@ def iter_primes(limit: int) -> Iterator[int]:
             start = max(p * p, -(-lo // p) * p) - lo
             segment[start::p] = bytes(len(range(start, hi - lo, p)))
         yield from itertools.compress(range(lo, hi), segment)
-
-
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    if limit < 2:
-        raise ValueError(f"primes_up_to requires limit >= 2, got {limit}")
-    return list(iter_primes(limit))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -224,27 +208,6 @@ def class_product(u: int, v: int) -> int:
     """Product of two square classes (inputs must already be squarefree)."""
     g = math.gcd(u, v)
     return (u * v) // (g * g)
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1; the Legendre symbol for prime n.
-
-    0 iff gcd(a, n) > 1.  Multiplicative in both arguments.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"jacobi requires odd n >= 1, got n={n}")
-    a %= n
-    result = 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def quartic_symbol(a: int, p: int) -> int:

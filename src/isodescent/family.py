@@ -55,7 +55,6 @@ class PropositionRank(NamedTuple):
 
     kind: str  # "exact" or "at_least"
     value: int
-    witnesses: tuple[ReprWitness, ...]
 
     def __str__(self) -> str:
         op = "=" if self.kind == "exact" else ">="
@@ -64,8 +63,6 @@ class PropositionRank(NamedTuple):
 
 class FamilyReport(NamedTuple):
     prime_class: PrimeClass
-    closed_psibar: SelmerGroup
-    closed_psi: SelmerGroup
     engine_psibar: SelmerGroup
     engine_psi: SelmerGroup
     theorem_bound: RankStatement
@@ -179,10 +176,10 @@ def _proposition(
     if w3p is None or gcd(w3p.a, 6 * p) != 1:
         return None
     if r == 17:
-        return PropositionRank("exact", 1, (w3p,))
+        return PropositionRank("exact", 1)
     if wp is None or gcd(wp.a, 18 * p) != 1:
         return None
-    return PropositionRank("at_least", 2, (wp, w3p))
+    return PropositionRank("at_least", 2)
 
 
 def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
@@ -193,8 +190,6 @@ def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
     """
     cls = classify(p)
     E = curve_for_prime(p)
-    closed_bar = closed_form_selmer_psibar(p)
-    closed_psi = closed_form_selmer_psi(p)
     engine_bar = selmer(E)
     engine_psi = selmer(dual_curve(E))
     bounds = rank_bounds(E, height_bound)
@@ -203,15 +198,13 @@ def verify_prime(p: int, height_bound: int = 2000) -> FamilyReport:
     bound_stmt = theorem_bound(p)
 
     consistent = (
-        closed_bar.classes == engine_bar.classes
-        and closed_psi.classes == engine_psi.classes
+        closed_form_selmer_psibar(p) == engine_bar
+        and closed_form_selmer_psi(p) == engine_psi
         and bounds.upper <= bound_stmt.ceiling
         and (prop is None or prop.value <= bounds.upper)
     )
     return FamilyReport(
         prime_class=cls,
-        closed_psibar=closed_bar,
-        closed_psi=closed_psi,
         engine_psibar=engine_bar,
         engine_psi=engine_psi,
         theorem_bound=bound_stmt,

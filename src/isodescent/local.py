@@ -12,7 +12,7 @@ and answers at once.  Each other Z_l question is decided by recursing
 on residue discs around roots of the reduced polynomial, stripping even
 powers of l from the content as it goes.  Recursion depth is capped at
 D = v_l(4*d1*d2*(c^2-4*d1*d2)) + 3 (two more at l = 2); exceeding the
-cap raises rather than guessing.
+cap raises AssertionError rather than guessing.
 
 At odd l nothing walks all of F_l, so the cost is polynomial in log l.
 Every reduction g the search meets is a quadratic in u = z^2 (an even
@@ -60,10 +60,6 @@ from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arith import _vl, is_prime
-
-
-class LocalEngineError(RuntimeError):
-    """Residue recursion exceeded its proven depth cap (engine bug)."""
 
 
 class QuarticForm(NamedTuple("QuarticForm", [("d1", int), ("c", int), ("d2", int)])):
@@ -297,7 +293,7 @@ def _zl_search_odd(f: Poly, l: int, budget: int) -> Optional[int]:
         if is_zl_square(val, l):
             return t0
         if budget == 0:
-            raise LocalEngineError("depth cap exceeded at odd prime (engine bug)")
+            raise AssertionError("depth cap exceeded at odd prime (engine bug)")
         sub = _zl_search_odd(_poly_shift(f, t0, l), l, budget - 1)
         if sub is not None:
             return t0 + l * sub
@@ -314,7 +310,7 @@ def _zl_search_two(f: Poly, budget: int) -> Optional[int]:
     for t0 in (0, 1):
         if _poly_eval(unit_part, t0) % 2 == 0:
             if budget == 0:
-                raise LocalEngineError("depth cap exceeded at l = 2 (engine bug)")
+                raise AssertionError("depth cap exceeded at l = 2 (engine bug)")
             sub = _zl_search_two(_poly_shift(f, t0, 2), budget - 1)
             if sub is not None:
                 return t0 + 2 * sub

@@ -1,4 +1,6 @@
-"""A brute-force oracle for local solvability, used only by the tests.
+"""References for the tests: a brute-force oracle for local solvability,
+and the two arithmetic functions (jacobi, valuation) that the tests check
+the engine against and that no engine module calls.
 
 brute_oracle is a breadth-first residue search that only ever reports a
 definite answer with a certificate (an exact Z_l-square value, or a
@@ -8,12 +10,46 @@ tri-state because it must never claim completeness beyond its depth.
 Its square test reads the class of a value in Q_l*/Q_l*^2 from
 _power_class, not from the class bits (_square_class_bits) that the
 engine's is_zl_square reads, so a fault in either shows as disagreement.
+
+jacobi is the Jacobi symbol by quadratic reciprocity, which the engine's
+Euler-criterion class bits and quartic_symbol do not use; valuation is
+the checked form of the engine's _vl.
 """
 
 from enum import Enum
 
 from isodescent.arith import _vl, is_prime
 from isodescent.local import Poly, QuarticForm, _poly_eval, _power_class
+
+
+def valuation(n: int, l: int) -> int:
+    """Largest e with l^e dividing n.  n must be nonzero, l prime."""
+    if n == 0:
+        raise ValueError("valuation of 0 is undefined")
+    if not is_prime(l):
+        raise ValueError(f"valuation requires a prime base, got {l}")
+    return _vl(n, l)
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1; the Legendre symbol for prime n.
+
+    0 iff gcd(a, n) > 1.  Multiplicative in both arguments.
+    """
+    if n <= 0 or n % 2 == 0:
+        raise ValueError(f"jacobi requires odd n >= 1, got n={n}")
+    a %= n
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 class Verdict(Enum):

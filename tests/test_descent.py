@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isodescent import descent, local, points
-from isodescent.arith import class_product, factorize, primes_up_to, squarefree_class
+from isodescent.arith import class_product, factorize, iter_primes, squarefree_class
 from isodescent.descent import (
     CurveModel,
     InternalConsistencyError,
@@ -243,7 +243,7 @@ class TestSelmerVerdictCache:
     def test_family_groups_with_a_warm_cache(self):
         # the E_p share their Q_2 and Q_3 verdicts, so each group after the
         # first is read mostly from verdicts that other primes decided
-        primes = primes_up_to(300) + [1217, 19249, 1043113]
+        primes = list(iter_primes(300)) + [1217, 19249, 1043113]
         random.Random(11).shuffle(primes)
         local._verdict_table.cache_clear()
         for p in primes:
@@ -261,7 +261,7 @@ class TestSelmerVerdictCache:
         monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
         local._verdict_table.cache_clear()
         selmer.cache_clear()
-        for p in primes_up_to(500):
+        for p in iter_primes(500):
             assert verify_prime(p, 10).consistent
         selmer.cache_clear()
         # 8 classes of d1 at l = 2 (4 at l = 3) times 4 classes of d1*d2
@@ -271,14 +271,14 @@ class TestSelmerVerdictCache:
 
     def test_every_family_curve_up_to_2000(self):
         local._verdict_table.cache_clear()
-        for p in primes_up_to(2000):
+        for p in iter_primes(2000):
             E = CurveModel(0, 18 * p * p)
             for curve in (E, dual_curve(E)):
                 assert selmer.__wrapped__(curve).classes == reference_selmer(curve, bad_places(E)), curve
 
     def test_twelve_odd_primes(self):
         # 2^13 candidates over 14 places, one per subset of -1 and the primes
-        E = CurveModel(0, prod(primes_up_to(41)[1:]))
+        E = CurveModel(0, prod(list(iter_primes(41))[1:]))
         local._verdict_table.cache_clear()
         for curve in (E, dual_curve(E)):
             assert selmer.__wrapped__(curve).classes == reference_selmer(curve, bad_places(E)), curve
@@ -295,7 +295,7 @@ class TestSelmerVerdictCache:
         monkeypatch.setattr(local, "solvable_padic", counting_solvable_padic)
         local._verdict_table.cache_clear()
         selmer.cache_clear()
-        for p in primes_up_to(5000):
+        for p in iter_primes(5000):
             E = CurveModel(0, 18 * p * p)
             selmer(E)
             selmer(dual_curve(E))
@@ -556,7 +556,7 @@ class TestSearchSieve:
 
         monkeypatch.setattr(descent, "_search_class", spy)
         descent._sieve_rows.cache_clear()
-        for p in primes_up_to(1000):
+        for p in iter_primes(1000):
             rank_bounds(curve_for_prime(p), 60)
         residues, orbits = set(), set()
         for q in descent._SIEVE_MODULI:

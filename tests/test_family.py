@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from isodescent.arith import factorize, is_prime, primes_up_to
+from isodescent.arith import factorize, is_prime, iter_primes
 from isodescent.descent import CurveModel, bad_places, dual_curve, selmer
 from isodescent.family import (
     KIND_3P,
@@ -80,7 +80,7 @@ class TestClassify:
         assert (cls.residue_mod_24, cls.quartic2) == (11, None)
 
     def test_quartic_defined_exactly_mod_8(self):
-        for p in primes_up_to(300):
+        for p in iter_primes(300):
             cls = classify(p)
             assert (cls.quartic2 is not None) == (p % 8 == 1)
 
@@ -357,7 +357,7 @@ class TestVerifyPrime:
         assert calls == []
 
     def test_dimension_dichotomy(self):
-        for p in primes_up_to(200):
+        for p in iter_primes(200):
             E = curve_for_prime(p)
             assert selmer(E).dim in (1, 2, 3)
             assert selmer(dual_curve(E)).dim in (1, 2)

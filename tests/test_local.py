@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isodescent import local
-from isodescent.arith import is_prime, jacobi, primes_up_to, quartic_symbol, squarefree_class, valuation
+from isodescent.arith import is_prime, iter_primes, quartic_symbol, squarefree_class
 from isodescent.local import (
     INFINITY,
     Place,
@@ -17,7 +17,7 @@ from isodescent.local import (
     solvable_padic,
     solvable_real,
 )
-from oracle import Verdict, brute_oracle
+from oracle import Verdict, brute_oracle, jacobi, valuation
 
 
 class TestQuarticForm:
@@ -148,7 +148,7 @@ class TestSolvablePadic:
 
     def test_quartic_criterion_at_p(self):
         # C_p(Q_p) for p = 1 mod 8 is nonempty iff (-18/p)_4 = +1
-        for p in primes_up_to(600):
+        for p in iter_primes(600):
             if p % 8 != 1:
                 continue
             want = quartic_symbol(-18, p) == 1
@@ -370,7 +370,7 @@ COARSER_KEYS = [
 
 NONZERO = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
 # the real place (None), l = 2 and every odd l <= 50
-PLACES = st.sampled_from([None, *primes_up_to(50)])
+PLACES = st.sampled_from([None, *iter_primes(50)])
 
 
 class TestSquareClassBits:
@@ -381,7 +381,7 @@ class TestSquareClassBits:
     def test_product_is_xor(self, m, n, l):
         assert local._square_class_bits(m * n, l) == local._square_class_bits(m, l) ^ local._square_class_bits(n, l)
 
-    @pytest.mark.parametrize("l", primes_up_to(50))
+    @pytest.mark.parametrize("l", list(iter_primes(50)))
     def test_bijection_with_the_power_class(self, l):
         # every class of Q_l*/Q_l*^2 has a representative l^e * u, e in (0, 1), 0 < u < 8l
         values = [s * l**e * u for s in (1, -1) for e in (0, 1) for u in range(1, 8 * l) if u % l]
@@ -498,7 +498,7 @@ class TestIsZlSquare:
         assert is_zl_square(17, 2)  # 17 = 1 mod 8
         assert not is_zl_square(12, 2)  # 12 = 4 * 3, 3 != 1 mod 8
 
-    @given(n=st.integers(min_value=-10**30, max_value=10**30), l=st.sampled_from(primes_up_to(50)))
+    @given(n=st.integers(min_value=-10**30, max_value=10**30), l=st.sampled_from(list(iter_primes(50))))
     @example(n=0, l=2)
     @example(n=-7 * 4**40, l=2)  # -7 = 1 mod 8: a square
     @example(n=3 * 4**40, l=2)
@@ -544,7 +544,7 @@ def walk_zl_search_odd(f, l, budget):
 def _random_forms(rng, count):
     """(form, l) pairs over odd primes l < 3000, with l-power content and
     square cofactors in d1, c and d2."""
-    odd = [p for p in primes_up_to(3000) if p > 2]
+    odd = [p for p in iter_primes(3000) if p > 2]
     out = []
     while len(out) < count:
         l = rng.choice(odd[:12]) if rng.random() < 0.5 else rng.choice(odd)
@@ -664,6 +664,23 @@ class TestFlRoots:
             local._fl_roots(g, 7)
         with pytest.raises(AssertionError):
             local._fl_is_scaled_square(g, 7)
+
+
+class TestDepthCap:
+    # each form's residue disc around z = 0 needs one more level than a
+    # budget of 0 allows; the cap D of the module docstring gives it
+    ODD = QuarticForm(-30, -4, -30)  # l = 3
+    TWO = QuarticForm(-30, -5, -30)  # l = 2
+
+    def test_exhausted_budget_is_an_engine_fault(self):
+        with pytest.raises(AssertionError, match="depth cap exceeded at odd prime"):
+            local._zl_search_odd(_poly(self.ODD), 3, 0)
+        with pytest.raises(AssertionError, match="depth cap exceeded at l = 2"):
+            local._zl_search_two(_poly(self.TWO), 0)
+
+    def test_the_cap_suffices(self):
+        assert local._zl_search_odd(_poly(self.ODD), 3, local._depth_cap(self.ODD, 3)) is None
+        assert local._zl_search_two(_poly(self.TWO), local._depth_cap(self.TWO, 2)) is None
 
 
 class TestScaledSquareEarlyStop:
